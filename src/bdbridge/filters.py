@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -97,6 +98,18 @@ def initial_state(i0: int) -> FilterState:
     return FilterState(0, post)
 
 
+@lru_cache(maxsize=1 << 16)
+def _log_pair_count(i: int, j: int, drop: int) -> float:
+    """log number of skeletons from ``i`` to ``j`` with ``drop`` up steps in
+    the filter's corridor (0, i + drop + 1).
+
+    The count does not depend on the elapsed time, and the same pairs recur
+    across steps, filter passes and grid cells, so it is cached.
+    """
+    return log_bridge_count(BridgeSpec(i=i, j=j, up_jumps=drop, lower=0,
+                                       upper=i + drop + 1))
+
+
 def igbs_filter_step(state: FilterState, params: SIRParams, s_prev: int,
                      s_next: int, dt: float, m: int, rng: RngStream):
     """One filtering step; returns the new state and the log conditional
@@ -126,20 +139,16 @@ def igbs_filter_step(state: FilterState, params: SIRParams, s_prev: int,
 
     i_draws = rng.gen.choice(len(positive), m, p=positive).astype(np.int64)
     j_draws = (rng.gen.random(m) * (i_draws + drop + 1)).astype(np.int64)
-    upper = i_draws + drop + 1
-    steps, dtau, jumps = _draw_padded(i_draws, j_draws, drop, dt, 0, upper, m, rng)
+    # The corridor's upper bound i + drop + 1 is out of reach (a path with
+    # drop up steps peaks at i + drop), so the draws leave it unbounded.
+    steps, dtau, jumps = _draw_padded(i_draws, j_draws, drop, dt, 0, np.inf, m, rng)
     ll = batch_path_loglik(model, i_draws, steps, dtau)
 
-    # log bridge density per draw; skeleton counts computed once per endpoint pair
+    # log bridge density per draw; skeleton counts looked up once per endpoint pair
     pair_codes = i_draws * (size_new + 1) + j_draws
     codes, inverse = np.unique(pair_codes, return_inverse=True)
-    per_pair = np.empty(len(codes))
-    for pos, code in enumerate(codes):
-        i_val, j_val = int(code) // (size_new + 1), int(code) % (size_new + 1)
-        spec = BridgeSpec(i=i_val, j=j_val, up_jumps=drop, t=dt,
-                          lower=0, upper=i_val + drop + 1)
-        per_pair[pos] = log_bridge_count(spec)
-    log_cards = per_pair[inverse]
+    log_cards = np.array([_log_pair_count(*divmod(int(code), size_new + 1), drop)
+                          for code in codes])[inverse]
     log_simplex = gammaln(jumps + 1) - jumps * math.log(dt)
     log_q = ll - (log_simplex - log_cards) + np.log(i_draws + drop + 1)
     q = np.exp(log_q)

@@ -29,7 +29,7 @@ from .counting import (
 )
 from .errors import BridgeDomainError, ModelDomainError
 from .models import BirthDeathModel
-from .sampler import BridgePath, RngStream, _draw_padded
+from .sampler import BridgePath, RngStream, _draw_padded, _width_classes
 
 DEFAULT_BLOCK = 1 << 16
 
@@ -118,29 +118,36 @@ def batch_path_loglik(model: BirthDeathModel, start, steps: np.ndarray,
     """Vectorized path log-likelihoods for padded step/interval matrices.
 
     Padding columns (zero steps, zero-length intervals) contribute nothing.
+    A row's jump count is its number of nonzero steps; rows are weighed in
+    the width classes of ``sampler._width_classes``, each only up to its own
+    width.
     """
-    n = steps.shape[0]
-    start = np.broadcast_to(np.asarray(start, np.int64), (n,)).reshape(n, 1)
-    after = start + np.cumsum(steps, axis=1, dtype=np.int64)
-    ups_cum = np.cumsum(steps == 1, axis=1, dtype=np.int64)
-    zeros = np.zeros((n, 1), np.int64)
-    # States and up-counts at the start of each holding interval; dropping the
-    # last column gives the pre-jump values for each step.
-    hold_states = np.concatenate([start, after], axis=1)
-    hold_ups = np.concatenate([zeros, ups_cum], axis=1)
-    lam = np.asarray(model.birth_rate(hold_states, hold_ups), float)
-    mu = np.asarray(model.death_rate(hold_states, hold_ups), float)
-    up = steps == 1
-    down = steps == -1
-    lam_pre = lam[:, :-1]
-    mu_pre = mu[:, :-1]
-    dead = ((up & (lam_pre <= 0)) | (down & (mu_pre <= 0))).any(axis=1)
-    with np.errstate(divide="ignore"):
-        jump_ll = (np.where(up, np.log(np.where(lam_pre > 0, lam_pre, 1.0)), 0.0)
-                   + np.where(down, np.log(np.where(mu_pre > 0, mu_pre, 1.0)), 0.0)
-                   ).sum(axis=1)
-    ll = jump_ll - ((lam + mu) * dtau).sum(axis=1)
-    ll[dead] = NEG_INF
+    n, width_max = steps.shape
+    start = np.broadcast_to(np.asarray(start, np.int64), (n,))
+    jumps = np.count_nonzero(steps, axis=1)
+    ll = np.empty(n)
+    for width, rows in _width_classes(jumps, width_max):
+        x = steps[rows, :width]
+        rows_n = x.shape[0]
+        # States and up-counts at the start of each holding interval; dropping
+        # the last column gives the pre-jump values for each step.
+        hold_states = np.empty((rows_n, width + 1), np.int64)
+        hold_states[:, 0] = start[rows]
+        np.cumsum(x, axis=1, dtype=np.int64, out=hold_states[:, 1:])
+        hold_states[:, 1:] += hold_states[:, :1]
+        up = x == 1
+        hold_ups = np.zeros((rows_n, width + 1), np.int64)
+        np.cumsum(up, axis=1, dtype=np.int64, out=hold_ups[:, 1:])
+        lam = np.asarray(model.birth_rate(hold_states, hold_ups), float)
+        mu = np.asarray(model.death_rate(hold_states, hold_ups), float)
+        rate = np.where(up, lam[:, :-1], mu[:, :-1])  # rate of the jump taken
+        if jumps[rows].min() < width:
+            rate[x == 0] = 1.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            jump_ll = np.log(rate).sum(axis=1)
+        block = jump_ll - np.einsum("ij,ij->i", lam + mu, dtau[rows, :width + 1])
+        block[(rate <= 0).any(axis=1)] = NEG_INF
+        ll[rows] = block
     return ll
 
 

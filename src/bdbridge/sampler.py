@@ -6,8 +6,17 @@ come from shuffling the up/down step multiset and rejecting arrangements that
 touch a taboo bound; tiny spaces are enumerated once and indexed instead.
 
 ``_draw_padded`` is the vectorized core used by the estimators: rows may have
-different endpoints and step counts, padded with zero steps and zero-length
-holding intervals so downstream likelihood sums are unaffected.
+different endpoints and step counts.  It returns matrices as wide as the
+longest row, with zero steps and zero-length holding intervals past each
+row's end, so downstream likelihood sums are unaffected.  Inside, rows are
+grouped by their own length into power-of-two width classes (small classes
+join the next wider one), and each class is shuffled, checked and
+time-sorted only up to its own width;
+``likelihood.batch_path_loglik`` weighs rows in the same classes.  The
+classes do not touch the random stream: the key and time matrices are drawn
+at full width, in the same calls and order as for one padded block, and a
+row's path depends only on its own numbers, so a seed gives the same paths
+whatever the mix of row lengths.
 """
 
 from __future__ import annotations
@@ -25,6 +34,10 @@ ENUM_CARD_LIMIT = 4096
 ENUM_JUMP_LIMIT = 64
 
 _BATCH_MAX_ROUNDS = 10_000
+#: Width classes smaller than this many cells join the next wider class: a
+#: class costs a fixed number of NumPy calls, worth more than the padding
+#: cells a small class saves.
+_MIN_CLASS_CELLS = 1 << 14
 
 
 class RngStream:
@@ -183,6 +196,35 @@ def sample_bridge(spec: BridgeSpec, rng: RngStream, method: str = "auto",
     return BridgePath(times, states)
 
 
+def _width_classes(lengths: np.ndarray, cap: int):
+    """Group rows by their own length into power-of-two width classes.
+
+    Yields ``(width, rows)`` for every nonempty class: the rows whose length
+    ``n`` satisfies ``width / 2 < n <= width`` (length 0 forms width 0), with
+    widths capped at ``cap >= lengths.max()``.  A class with fewer than
+    ``_MIN_CLASS_CELLS`` cells is folded into the next wider one, where its
+    rows are padding-masked like any shorter row.  ``rows`` is an index
+    array, or ``slice(None)`` when one class holds every row, so that callers
+    work on views of full-width arrays instead of gathered copies.
+    """
+    code = np.frexp(np.maximum(lengths - 1, 0))[1] + (lengths > 0)
+    counts = np.bincount(code)
+    classes = []
+    low = -1
+    carried = 0
+    for c in np.flatnonzero(counts):
+        width = min(1 << (int(c) - 1), cap) if c else 0
+        carried += counts[c]
+        if carried * width >= _MIN_CLASS_CELLS or c == len(counts) - 1:
+            classes.append((width, low, c))
+            low, carried = c, 0
+    if len(classes) == 1:
+        yield classes[0][0], slice(None)
+        return
+    for width, low, high in classes:
+        yield width, np.flatnonzero((code > low) & (code <= high))
+
+
 def _draw_padded(i, j, up_jumps: int, t: float, lower, upper, size: int,
                  rng: RngStream, max_rounds: int = _BATCH_MAX_ROUNDS):
     """Vectorized uniform draws for ``size`` bridges sharing ``up_jumps`` and ``t``.
@@ -190,8 +232,17 @@ def _draw_padded(i, j, up_jumps: int, t: float, lower, upper, size: int,
     ``i``, ``j`` and ``upper`` may vary per row; ``lower`` is shared.  Rows
     whose end state sits on a finite bound get their forced terminal step
     appended after the strict-interior shuffle.  Returns ``(steps, dtau,
-    jumps)`` padded to the longest row: padding steps are 0 and padding
-    holding intervals have zero length, so likelihood sums ignore them.
+    jumps)`` as matrices as wide as the longest row: padding steps are 0 and
+    padding holding intervals have zero length, so likelihood sums ignore
+    them.
+
+    The work runs on width classes (see ``_width_classes``): each class is
+    shuffled, bound-checked, time-sorted and differenced only up to its own
+    width.  The random stream does not depend on the classes.  Every
+    rejection round draws one key matrix of shape (pending rows, longest
+    core), and every time draw one matrix of shape (rows, most jumps), in the
+    same order whatever the mix of lengths; a row's skeleton is set by the
+    ranks of its own keys and its times by its own uniforms.
 
     Callers must pre-filter empty bridge spaces; this routine only rejects on
     bound violations and will loop on impossible rows until the round cap.
@@ -208,10 +259,15 @@ def _draw_padded(i, j, up_jumps: int, t: float, lower, upper, size: int,
         raise BridgeDomainError("infeasible up-jump budget in batch draw")
     length = jumps - ends_low - ends_up
     ups = np.where(ends_up, up_jumps - 1, up_jumps)
+    # A core walk is admissible when its running sum of steps stays strictly
+    # between these two, i.e. its states strictly inside (lower, upper).
+    room_low = lower - i
+    room_up = upper_arr - i
 
     len_max = int(length.max()) if size else 0
-    cols = np.arange(len_max)
-    steps_core = np.zeros((size, len_max), np.int8)
+    jumps_max = int(jumps.max()) if size else 0
+    cols = np.arange(jumps_max)
+    steps = np.zeros((size, jumps_max), np.int8)
     pending = np.arange(size)
     tries = 0
     accepted = 0
@@ -219,49 +275,69 @@ def _draw_padded(i, j, up_jumps: int, t: float, lower, upper, size: int,
         if pending.size == 0:
             break
         keys = rng.gen.random((pending.size, len_max))
-        keys[cols >= length[pending, None]] = 2.0  # padding sorts last
-        order = np.argsort(keys, axis=1)
-        # The c-th smallest key carries an up step for c < ups, a down step
-        # for c < length, padding otherwise (padding keys sort last).
-        vals = np.where(cols < ups[pending, None], 1,
-                        np.where(cols < length[pending, None], -1, 0)).astype(np.int8)
-        x = np.empty_like(vals)
-        np.put_along_axis(x, order, vals, axis=1)
-        states = i[pending, None] + np.cumsum(x, axis=1, dtype=np.int64)
-        inplay = cols < length[pending, None]
-        bad = inplay & ((states <= lower) | (states >= upper_arr[pending, None]))
-        ok = ~bad.any(axis=1)
-        steps_core[pending[ok]] = x[ok]
+        ok = np.ones(pending.size, bool)
+        for width, sel in _width_classes(length[pending], len_max):
+            if width == 0:
+                continue
+            rows = pending[sel]
+            n_len, n_up = length[rows], ups[rows]
+            k = keys[sel, :width]
+            pad = cols[:width] >= n_len[:, None] if n_len.min() < width else None
+            if pad is not None:
+                k[pad] = 2.0  # padding sorts last
+            # The n_up smallest keys of a row carry its up steps, the rest of
+            # its core the down steps: the key ranks are a uniform shuffle.
+            thr = np.sort(k, axis=1)[np.arange(len(rows)), np.maximum(n_up - 1, 0)]
+            thr[n_up == 0] = -1.0
+            x = (k <= thr[:, None]).view(np.int8)
+            x = x + x - 1
+            if pad is not None:
+                x[pad] = 0
+            # Padding repeats the last core state, so it never moves the
+            # extremes of an admissible walk.  A key tied with the threshold
+            # adds an up step; the end check rejects that row (measure zero).
+            walk = np.cumsum(x, axis=1, dtype=np.int8 if width < 128 else np.int32)
+            good = ((walk.min(axis=1) > room_low[rows]) & (walk.max(axis=1) < room_up[rows])
+                    & (walk[:, -1] == 2 * n_up - n_len))
+            steps[rows[good], :width] = x[good]
+            ok[sel] = good
         tries += pending.size
         accepted += int(ok.sum())
         pending = pending[~ok]
     if pending.size:
         raise RejectionCapExceeded(tries, accepted, max_rounds)
 
-    jumps_max = int(jumps.max()) if size else 0
-    steps = np.zeros((size, jumps_max), np.int8)
-    steps[:, :len_max] = steps_core
     rows_low = np.flatnonzero(ends_low)
     steps[rows_low, length[rows_low]] = -1
     rows_up = np.flatnonzero(ends_up)
     steps[rows_up, length[rows_up]] = 1
 
-    tcols = np.arange(jumps_max)
+    dtau = np.zeros((size, jumps_max + 1))
     while True:
-        u = rng.gen.random((size, jumps_max)) * t
-        u[tcols >= jumps[:, None]] = t
-        tau = np.sort(u, axis=1)
-        if jumps_max == 0:
+        u = rng.gen.random((size, jumps_max))
+        collision = False
+        for width, rows in _width_classes(jumps, jumps_max):
+            if width == 0:
+                dtau[rows, 0] = t
+                continue
+            n_jumps = jumps[rows]
+            tau = u[rows, :width]
+            if n_jumps.min() < width:
+                tau[cols[:width] >= n_jumps[:, None]] = 1.0  # padding sorts last, at t
+            tau.sort(axis=1)
+            tau *= t
+            # Holding intervals: the gaps of (0, tau_1, ..., tau_K, t, ..., t).
+            gaps = dtau if isinstance(rows, slice) else np.empty((len(n_jumps), width + 1))
+            gaps[:, 0] = tau[:, 0]
+            np.subtract(tau[:, 1:], tau[:, :-1], out=gaps[:, 1:width])
+            gaps[:, width] = t - tau[:, -1]
+            # Padding gaps are exactly 0; any other zero gap is a tie or a
+            # time at 0 or t (measure zero): redraw the whole batch.
+            if np.count_nonzero(gaps == 0.0) > width * len(n_jumps) - int(n_jumps.sum()):
+                collision = True
+                break
+            if not isinstance(rows, slice):
+                dtau[rows, :width + 1] = gaps
+        if not collision:
             break
-        ties = (np.diff(tau, axis=1) == 0) & (tcols[:-1] < jumps[:, None] - 1)
-        has_jump = jumps > 0
-        edge = has_jump & (
-            (tau[:, 0] == 0.0)
-            | (tau[np.arange(size), np.maximum(jumps - 1, 0)] >= t)
-        )
-        if not (ties.any(axis=1) | edge).any():
-            break
-        # Measure-zero collisions: redraw the whole batch (cheap and rare).
-    zeros = np.zeros((size, 1))
-    dtau = np.diff(np.concatenate([zeros, tau, np.full((size, 1), t)], axis=1), axis=1)
     return steps, dtau, jumps

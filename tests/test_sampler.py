@@ -1,10 +1,13 @@
+import hashlib
 import math
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import bdbridge.sampler as sampler_module
 from bdbridge.counting import BridgeSpec, bridge_count, enumerate_bridges
 from bdbridge.errors import ZeroMeasureSpace
 from bdbridge.likelihood import batch_path_loglik, path_loglik
@@ -180,18 +183,216 @@ def test_batch_draw_matches_scalar_law(rng):
     assert np.all(dtau >= 0)
 
 
-def test_batch_draw_mixed_rows_consistent(rng, lbdi_table_model):
-    # Rows with different endpoints, padded to a common width, must agree with
-    # the scalar path log-likelihood computed row by row.
-    i_arr = np.array([3, 1, 5, 2, 4])
-    j_arr = np.array([1, 0, 5, 4, 2])
-    ups = 2
-    upper = i_arr + ups + 1
-    steps, dtau, jumps = _draw_padded(i_arr, j_arr, ups, 1.3, 0, upper, 5, rng)
-    ll = batch_path_loglik(lbdi_table_model, i_arr, steps, dtau)
-    for r in range(5):
+def _pad_columns(a: np.ndarray, width: int) -> np.ndarray:
+    return np.pad(a, ((0, 0), (0, width - a.shape[1])))
+
+
+def _mixed_row_groups(pick):
+    """(lower, ups, i, j, upper) groups of rows for one batch draw each."""
+    groups = []
+    lower = -3
+    for ups, n in ((0, 200), (3, 200)):
+        i = pick.integers(1, 41, n)
+        j = np.array([pick.integers(lower + 1, a + ups + 1) for a in i])
+        if ups == 0:
+            i[:3], j[:3] = (5, 1, 40), (5, -1, 0)
+        # Odd rows get an upper bound two above the start, which binds when
+        # ups > 0; even rows get one that no path can reach.
+        upper = i + np.where(np.arange(n) % 2, 2, ups + 1)
+        groups.append((lower, ups, i, np.minimum(j, upper - 1), upper))
+    # Absorbing terminal on the lower bound 0, including 1 -> 0 by a single
+    # forced step (ups = 0) and after a core of four steps (ups = 2).
+    for ups in (0, 2):
+        i = pick.integers(1, 41, 40)
+        i[0] = 1
+        upper = i + np.where(np.arange(40) % 2, 2, ups + 1)
+        groups.append((0, ups, i, np.zeros(40, np.int64), upper))
+    # Terminal on a finite upper bound 1..3 above the start, including a
+    # single forced up step (ups = 1).
+    for ups in (1, 3):
+        i = pick.integers(1, 41, 40)
+        upper = i + (1 if ups == 1 else pick.integers(1, 4, 40))
+        groups.append((-3, ups, i, upper.copy(), upper))
+    return groups
+
+
+def _class_floors():
+    """Width-class floors to test: every class apart, and the default."""
+    return (0, sampler_module._MIN_CLASS_CELLS)
+
+
+def test_width_classes_partition_rows(monkeypatch):
+    # Every row lands in exactly one class no narrower than itself, classes
+    # come in increasing width, and the floor only merges neighbours.
+    lengths = np.random.default_rng(2).integers(0, 70, 3000)
+    lengths[:5] = (0, 1, 2, 3, 70)
+    for floor in (0, 1 << 10, 1 << 14, 1 << 30):
+        monkeypatch.setattr(sampler_module, "_MIN_CLASS_CELLS", floor)
+        seen = np.zeros(len(lengths), int)
+        widths = []
+        for width, rows in sampler_module._width_classes(lengths, 70):
+            seen[rows] += 1
+            assert lengths[rows].max() <= width
+            if widths:
+                assert lengths[rows].min() > widths[-1]
+            widths.append(width)
+        assert np.all(seen == 1)
+        assert widths[-1] == 70
+        if floor == 0:
+            assert widths == [0, 1, 2, 4, 8, 16, 32, 64, 70]
+        if floor == 1 << 30:
+            assert widths == [70]
+
+
+def test_batch_draw_mixed_rows_consistent(lbdi_table_model, monkeypatch):
+    # Rows of many lengths, weighed together, must agree row by row with the
+    # scalar path log-likelihood.  The batch has zero-jump rows, jump counts
+    # in at least four width classes, rows ending on a lower or an upper
+    # bound with their forced terminal step, and rows that must pass
+    # 0 -> -1, a down jump at zero death rate (-inf).  It runs with every
+    # width class apart and with the default floor, which folds small classes
+    # into wider ones; both layouts must draw the same bytes.  Sums over
+    # padded widths may round differently in the last bit.
+    results = []
+    for floor in _class_floors():
+        monkeypatch.setattr(sampler_module, "_MIN_CLASS_CELLS", floor)
+        results.append(_check_mixed_rows(RngStream(17), lbdi_table_model))
+    (*split_draws, split_ll), (*merged_draws, merged_ll) = results
+    for split, merged in zip(split_draws, merged_draws):
+        np.testing.assert_array_equal(split, merged)
+    np.testing.assert_allclose(split_ll, merged_ll, rtol=1e-12, atol=0)
+
+
+def _check_mixed_rows(rng, model):
+    t = 1.3
+    draws, specs = [], []
+    for lower, ups, i_arr, j_arr, upper in _mixed_row_groups(np.random.default_rng(5)):
+        n = len(i_arr)
+        steps, dtau, jumps = _draw_padded(i_arr, j_arr, ups, t, lower, upper, n, rng)
+        cols = np.arange(steps.shape[1])
+        assert np.all(steps[cols >= jumps[:, None]] == 0)
+        assert np.all(dtau[:, 1:][cols >= jumps[:, None]] == 0.0)
+        assert np.allclose(dtau.sum(axis=1), t, rtol=1e-14, atol=0)
+        draws.append((i_arr, j_arr, steps, dtau, jumps))
+        specs += [BridgeSpec(i=int(a), j=int(b), up_jumps=ups, t=t, lower=lower,
+                             upper=int(c)) for a, b, c in zip(i_arr, j_arr, upper)]
+    width = max(d[2].shape[1] for d in draws)
+    start, end, jumps = (np.concatenate([d[k] for d in draws]) for k in (0, 1, 4))
+    steps = np.vstack([_pad_columns(d[2], width) for d in draws])
+    dtau = np.vstack([_pad_columns(d[3], width + 1) for d in draws])
+    assert np.any(jumps == 0)
+    assert len({int(k - 1).bit_length() for k in jumps[jumps > 0]}) >= 4
+    ends_low = np.array([s.ends_at_lower for s in specs])
+    ends_up = np.array([s.ends_at_upper for s in specs])
+    assert np.any(ends_low & (start == 1) & (jumps == 1)) and np.any(ends_low & (jumps > 1))
+    assert np.any(ends_up & (jumps == 1)) and np.any(ends_up & (jumps > 1))
+    ll = batch_path_loglik(model, start, steps, dtau)
+    for r, spec in enumerate(specs):
         k = int(jumps[r])
-        states = i_arr[r] + np.concatenate([[0], np.cumsum(steps[r, :k])])
-        taus = np.concatenate([[0.0], np.cumsum(dtau[r])[:k], [1.3]])
-        scalar = path_loglik(lbdi_table_model, BridgePath(taus, np.append(states, j_arr[r])))
-        assert ll[r] == pytest.approx(scalar, rel=1e-12)
+        states = start[r] + np.concatenate([[0], np.cumsum(steps[r, :k])])
+        taus = np.concatenate([[0.0], np.cumsum(dtau[r])[:k], [t]])
+        path = BridgePath(taus, np.append(states, end[r]))
+        path.validate(spec)
+        scalar = path_loglik(model, path)
+        if scalar == -math.inf:
+            assert ll[r] == -math.inf, r
+        else:
+            assert ll[r] == pytest.approx(scalar, rel=1e-12), r
+    assert jumps[0] == 0 and np.isfinite(ll[0]) and ll[1] == -math.inf
+    return steps, dtau, jumps, ll
+
+
+class _CollideOnceGen:
+    """Generator stand-in that plants a collision in its ``at``-th matrix."""
+
+    def __init__(self, collide, at):
+        self.gen = np.random.default_rng(3)
+        self.collide = collide
+        self.at = at
+        self.calls = 0
+
+    def random(self, size):
+        self.calls += 1
+        u = self.gen.random(size)
+        if self.calls == self.at:
+            self.collide(u)
+        return u
+
+
+@pytest.mark.parametrize("collide", [
+    lambda u: u.__setitem__((1, 2), u[1, 0]),   # two equal jump times
+    lambda u: u.__setitem__((0, 1), 0.0),       # a jump at time 0
+])
+def test_batch_time_draw_redraws_collisions(collide):
+    # No row is rejected, so the second matrix is the first jump-time draw.
+    stub = _CollideOnceGen(collide, at=2)
+    steps, dtau, jumps = _draw_padded(np.array([4, 9]), np.array([1, 2]), 0, 1.0,
+                                      -np.inf, np.inf, 2, SimpleNamespace(gen=stub))
+    assert stub.calls == 3
+    assert jumps.tolist() == [3, 7]
+    for r, k in enumerate(jumps):
+        assert np.all(dtau[r, :k + 1] > 0) and np.all(dtau[r, k + 1:] == 0)
+
+
+def test_batch_shuffle_rejects_key_ties():
+    # Row 0 has one up step among two; tying its two keys would mark both as
+    # up steps.  The row must be redrawn, so a second key matrix is drawn
+    # before the jump times, and every row still ends at its own end state.
+    stub = _CollideOnceGen(lambda u: u.__setitem__((0, 1), u[0, 0]), at=1)
+    steps, dtau, jumps = _draw_padded(np.array([5, 9]), np.array([5, 8]), 1, 1.0,
+                                      -np.inf, np.inf, 2, SimpleNamespace(gen=stub))
+    assert stub.calls == 3
+    assert jumps.tolist() == [2, 3]
+    assert steps.sum(axis=1).tolist() == [0, -1]
+    assert (steps[0, :2] == 1).sum() == 1
+
+
+def _pinned_cases():
+    """Seeded ``_draw_padded`` inputs: (name, args)."""
+    i = np.arange(1, 61)
+    j = np.where(i % 5 == 0, i, np.maximum(i - i % 23, 0))
+    k = np.arange(40)
+    return (
+        # filter-like: per-row i, j and upper, 0..22 jumps, zero-jump rows
+        ("mixed", (i, j, 0, 0.7, 0, i + 1, 60, RngStream(41))),
+        # transprob-like: one shared endpoint pair in a binding corridor
+        ("uniform", (12, 12, 9, 1.0, 0, 16, 4096, RngStream(42))),
+        # absorbing terminal on the lower bound, 7..46 jumps
+        ("ends_lower", (k + 1, 0, 3, 2.0, 0, np.inf, 40, RngStream(43))),
+        # terminal on a finite upper bound, 6..9 jumps
+        ("ends_upper", (k % 30 + 1, k % 30 + 4 + k % 4, 6, 0.5, 0, k % 30 + 4 + k % 4,
+                        40, RngStream(44))),
+    )
+
+
+def _draw_digest(steps, dtau, jumps) -> str:
+    h = hashlib.sha256()
+    for a in (steps, dtau, jumps):
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+#: Digests of the outputs of ``_pinned_cases``, recorded before the batch
+#: core moved to width classes; that change left every output byte as it was.
+PINNED_DRAWS = {
+    "mixed": "713f04ba6472fa8ebae1a9145f82f2667abc624d474cb244cd88971ed02c2808",
+    "uniform": "183de889d1e82ecb90d2891ea0e3db4cae538114d8c072ccdd6149a9e884cc95",
+    "ends_lower": "5442c927a5d381e0e2b2a07a07c4bdedc2b91bda193732819a5d83710948827a",
+    "ends_upper": "1467d2969f74bbe8aaaf9961be26fa7c365e8a8bc5ba349a7482d8885461382a",
+}
+
+
+def test_batch_draw_random_stream_pinned(monkeypatch):
+    """The batch core's output bytes for fixed seeds are pinned.
+
+    Seeded results everywhere (filter log-likelihoods, estimates, the
+    benchmark's mc_sd) depend on which random numbers the sampler consumes
+    and how it maps them to paths.  A deliberate change of the sampling law
+    or of its use of the stream must update these digests and record the
+    change in CHANGES.md.
+    """
+    for floor in _class_floors():
+        monkeypatch.setattr(sampler_module, "_MIN_CLASS_CELLS", floor)
+        for name, args in _pinned_cases():
+            assert _draw_digest(*_draw_padded(*args)) == PINNED_DRAWS[name], (name, floor)
