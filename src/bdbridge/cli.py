@@ -135,6 +135,16 @@ def _parse_range(text: str) -> inference.GridSpec:
         raise UsageError(f"bad range {text!r}, expected lo:hi:steps") from exc
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def _parse_bound(text: str | None):
     if text is None or text.lower() in ("none", "-inf", "inf", "+inf"):
         if text is None or text.lower() == "none":
@@ -444,7 +454,8 @@ def build_parser() -> _Parser:
                    help="fixed upper end of the up-jump set")
     p.add_argument("--eps", type=float, default=1e-4,
                    help="adaptive up-jump set tolerance (used when --bmax absent)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="threads over sample blocks")
     add_common(p)
     p.set_defaults(func=_cmd_transprob)
 
@@ -481,7 +492,8 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int, default=10_000)
     p.add_argument("--replications", type=int, default=5)
     p.add_argument("--refinements", type=int, default=2)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="worker processes for grid cells")
     p.add_argument("--i0", type=int, default=1)
     p.add_argument("--surface-out", default=None,
                    help="also dump the full-span surface CSV here")

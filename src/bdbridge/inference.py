@@ -10,7 +10,8 @@ of 1.92, interpolated linearly between grid points.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,11 +49,17 @@ class GridSpec:
 
 @dataclass
 class SearchConfig:
+    """Grid search settings; ``threads`` counts worker processes for grid cells."""
+
     beta: GridSpec
     gamma: GridSpec
     refinements: int = 2
     replications: int = 5
     threads: int = 1
+
+    def __post_init__(self):
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
 
 
 @dataclass
@@ -67,40 +74,51 @@ class FitResult:
     surface: SurfaceResult = field(repr=False)
 
 
+def _cell(job) -> tuple[float, float]:
+    """Mean and spread of one cell's replicate filter runs, one per stream.
+
+    Module-level with picklable arguments, so that a worker process can run it.
+    """
+    obs, n0, beta, gamma, i0, m, streams = job
+    params = SIRParams(n0=n0, beta=beta, gamma=gamma)
+    vals = np.array([igbs_filter_loglik(params, obs, i0, m, stream) for stream in streams])
+    finite = vals[np.isfinite(vals)]
+    if finite.size == 0:
+        return NEG_INF, 0.0
+    # A single -inf replicate is Monte Carlo starvation, not evidence the
+    # cell is impossible; average the finite runs and record the spread.
+    return float(finite.mean()), float(finite.std())
+
+
 def loglik_surface(obs: Observations, beta_grid, gamma_grid, m: int,
                    rng: RngStream, replications: int = 1, i0: int = 1,
                    threads: int = 1) -> SurfaceResult:
     """Seed-averaged filter log-likelihood over a parameter grid.
 
-    Cells own derived streams indexed by (row, column, replication), so the
-    result is independent of the worker count; -inf cells are permitted.
+    ``threads`` counts worker processes for grid cells.  With more than one,
+    cells run in a pool of forked processes made for this call, which inherit
+    the imported package and its count cache.  A fork copies only the calling
+    thread, so ask for workers only while no other thread holds a lock.
+    Cells own derived streams indexed by (row, column, replication) and
+    results come back in grid order, so the surface is bit-identical for any
+    worker count; -inf cells are permitted.
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     beta_grid = np.asarray(beta_grid, float)
     gamma_grid = np.asarray(gamma_grid, float)
     n0 = int(obs.susceptibles[0]) + i0
-
-    def cell(job):
-        a, b = job
-        params = SIRParams(n0=n0, beta=float(beta_grid[a]), gamma=float(gamma_grid[b]))
-        vals = np.array([
-            igbs_filter_loglik(params, obs, i0, m, rng.child(a, b, r))
-            for r in range(replications)
-        ])
-        finite = vals[np.isfinite(vals)]
-        if finite.size == 0:
-            return NEG_INF, 0.0
-        # A single -inf replicate is Monte Carlo starvation, not evidence the
-        # cell is impossible; average the finite runs and record the spread.
-        return float(finite.mean()), float(finite.std())
-
-    jobs = [(a, b) for a in range(len(beta_grid)) for b in range(len(gamma_grid))]
+    jobs = [(obs, n0, float(beta), float(gamma), i0, m,
+             [rng.child(a, b, r) for r in range(replications)])
+            for a, beta in enumerate(beta_grid) for b, gamma in enumerate(gamma_grid)]
     if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(cell, jobs))
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs)),
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
+            results = list(pool.map(_cell, jobs))
     else:
-        results = [cell(j) for j in jobs]
+        results = [_cell(job) for job in jobs]
     mean = np.array([r[0] for r in results]).reshape(len(beta_grid), len(gamma_grid))
     spread = np.array([r[1] for r in results]).reshape(len(beta_grid), len(gamma_grid))
     return SurfaceResult(beta_grid, gamma_grid, mean, spread, replications)

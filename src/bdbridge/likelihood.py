@@ -236,6 +236,8 @@ def estimate_pij(model: BirthDeathModel, i: int, j: int, t: float, bset,
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     bset = _as_bset(bset)
     if not model.contains(i):
         raise ModelDomainError(f"start state {i} outside state space of {model.name}")

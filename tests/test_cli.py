@@ -165,6 +165,17 @@ def test_usage_and_domain_exit_codes(capsys):
     assert code == 1
 
 
+def test_nonpositive_threads_is_usage_error(capsys):
+    code, _, err = run_cli(capsys, "fit", "--data", shigellosis_path(),
+                           "--beta-range", "0.001:0.003:3",
+                           "--gamma-range", "0.15:0.4:3", "--threads", "0")
+    assert code == 1 and "usage error" in err and "--threads" in err
+    code, _, err = run_cli(capsys, "transprob", "--model", "sis",
+                           "--params", "n0=30,beta=0.003,gamma=1",
+                           "--i", "5", "--j", "4", "--t", "1", "--threads", "-2")
+    assert code == 1 and "usage error" in err and "--threads" in err
+
+
 def test_scan_failure_csv(capsys, tmp_path):
     data = tmp_path / "obs.csv"
     data.write_text("time,S\n0,60\n1,60\n2,59\n3,58\n")

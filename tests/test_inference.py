@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -39,12 +41,47 @@ def test_surface_with_impossible_column():
 
 
 def test_surface_threads_invariant():
+    # beta = 0 cannot drop S, so its -inf cells cross the process boundary too.
     obs = make_obs(range(4), [198, 197, 197, 196])
-    a = loglik_surface(obs, [0.001, 0.002], [0.2, 0.3], 1_500, RngStream(7),
+    a = loglik_surface(obs, [0.0, 0.001, 0.002], [0.2, 0.3], 1_500, RngStream(7),
                        replications=2, threads=1)
-    b = loglik_surface(obs, [0.001, 0.002], [0.2, 0.3], 1_500, RngStream(7),
+    b = loglik_surface(obs, [0.0, 0.001, 0.002], [0.2, 0.3], 1_500, RngStream(7),
                        replications=2, threads=4)
+    assert np.all(a.mean[0] == NEG_INF) and np.all(np.isfinite(a.mean[1:]))
     assert np.array_equal(a.mean, b.mean)
+    assert np.array_equal(a.spread, b.spread)
+
+
+def test_fit_worker_count_invariant():
+    obs = make_obs(range(6), [198, 197, 197, 195, 194, 194])
+    config = SearchConfig(beta=GridSpec(0.0005, 0.004, 3),
+                          gamma=GridSpec(0.1, 0.5, 3),
+                          refinements=2, replications=2, threads=1)
+    one = fit_mle(obs, config, 500, RngStream(31))
+    two = fit_mle(obs, dataclasses.replace(config, threads=2), 500, RngStream(31))
+    for name in ("beta_hat", "gamma_hat", "ci_beta", "ci_gamma", "r0",
+                 "loglik_max", "boundary_warning"):
+        assert getattr(one, name) == getattr(two, name), name
+    assert np.array_equal(one.surface.mean, two.surface.mean)
+    assert np.array_equal(one.surface.spread, two.surface.spread)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_surface_cell_errors_propagate(threads):
+    obs = make_obs(range(4), [198, 197, 197, 196])
+    with pytest.raises(ValueError, match=r"^m must be >= 1, got 0$"):
+        loglik_surface(obs, [0.001, 0.002], [0.2, 0.3], 0, RngStream(7),
+                       threads=threads)
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_nonpositive_threads_rejected(threads):
+    obs = make_obs(range(4), [198, 197, 197, 196])
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        loglik_surface(obs, [0.001], [0.2], 100, RngStream(7), threads=threads)
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        SearchConfig(beta=GridSpec(0.001, 0.002, 2), gamma=GridSpec(0.2, 0.3, 2),
+                     threads=threads)
 
 
 def test_profile_interval_interpolation():

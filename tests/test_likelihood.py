@@ -138,6 +138,13 @@ def test_threads_bit_identical(sis_table_model):
     assert one == four
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_nonpositive_threads_rejected(sis_table_model, threads):
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        estimate_pij(sis_table_model, 5, 7, 1.0, BSet(range(2, 9)), 1_000,
+                     RngStream(77), threads=threads)
+
+
 def test_choose_bset_zero_model(zero_model):
     assert list(choose_bset(4, 4, zero_model, 1.0, 1e-4, RngStream(3))) == [0]
 
