@@ -438,7 +438,7 @@ def build_parser() -> _Parser:
     p.add_argument("--l", default=None)
     p.add_argument("--u", default=None)
     p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--n", type=int, default=1, help="number of replicate paths")
+    p.add_argument("--n", type=_positive_int, default=1, help="number of replicate paths")
     add_common(p)
     p.set_defaults(func=_cmd_sample)
 
@@ -448,7 +448,7 @@ def build_parser() -> _Parser:
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--n", type=int, default=100_000)
+    p.add_argument("--n", type=_positive_int, default=100_000)
     p.add_argument("--method", choices=["igbs", "straight", "closed"], default="igbs")
     p.add_argument("--bmax", type=int, default=None,
                    help="fixed upper end of the up-jump set")
@@ -471,7 +471,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="CSV with header time,S")
     p.add_argument("--model", default="sir", choices=["sir"])
     p.add_argument("--params", required=True, help="beta=...,gamma=...[,n0=...]")
-    p.add_argument("--m", type=int, default=10_000, help="replicates per step")
+    p.add_argument("--m", type=_positive_int, default=10_000, help="replicates per step")
     p.add_argument("--i0", type=int, default=1)
     add_common(p)
     p.set_defaults(func=_cmd_filter)
@@ -480,7 +480,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--beta-range", required=True, help="lo:hi:steps")
     p.add_argument("--gamma-range", required=True, help="lo:hi:steps")
-    p.add_argument("--particles", type=int, default=100_000)
+    p.add_argument("--particles", type=_positive_int, default=100_000)
     p.add_argument("--i0", type=int, default=1)
     add_common(p)
     p.set_defaults(func=_cmd_scan_failure)
@@ -489,9 +489,9 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--beta-range", required=True, help="lo:hi:steps")
     p.add_argument("--gamma-range", required=True, help="lo:hi:steps")
-    p.add_argument("--m", type=int, default=10_000)
-    p.add_argument("--replications", type=int, default=5)
-    p.add_argument("--refinements", type=int, default=2)
+    p.add_argument("--m", type=_positive_int, default=10_000)
+    p.add_argument("--replications", type=_positive_int, default=5)
+    p.add_argument("--refinements", type=_positive_int, default=2)
     p.add_argument("--threads", type=_positive_int, default=1,
                    help="worker processes for grid cells")
     p.add_argument("--i0", type=int, default=1)

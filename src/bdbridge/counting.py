@@ -12,6 +12,9 @@ When the end state sits exactly on an absorbing bound, the path must stay
 strictly inside the corridor up to its penultimate step and hit the bound with
 its final jump.  That count reduces to a strict-interior bridge one step
 shorter, with the forced final jump appended.
+
+Counts are exact integers, and ``log_bridge_count`` is their log.  The
+skeleton sampler unranks a uniform index through the same counts.
 """
 
 from __future__ import annotations
@@ -27,10 +30,6 @@ POS_INF = float("inf")
 
 #: Exact integer counting is refused above this many jumps.
 EXACT_JUMP_LIMIT = 4096
-
-#: Above this many jumps, densities switch to a log-space evaluation of the
-#: reflection series so hot paths never manipulate huge integers.
-LOG_EXACT_SWITCH = 64
 
 
 def _normalize_bound(value, default: float):
@@ -114,23 +113,20 @@ def _comb0(n: int, m) -> int:
 
 
 def _strict_terms(jumps: int, ups: int, i: int, j: int, lower, upper):
-    """Signed reflection-series terms for strict-interior bridge counts.
-
-    Yields ``(coeff_index, sign, order)`` where ``order`` is the number of
-    reflections producing the mirror image (0 for the direct term).
-    """
+    """Signed reflection-series terms ``(coeff_index, sign)`` for
+    strict-interior bridge counts."""
     if ups < 0 or ups > jumps:
         return
-    yield ups, 1, 0
+    yield ups, 1
     if lower == NEG_INF and upper == POS_INF:
         return
     mirror_low = ups - j + lower if lower != NEG_INF else None
     mirror_up = ups - j + upper if upper != POS_INF else None
     if upper == POS_INF:
-        yield mirror_low, -1, 1
+        yield mirror_low, -1
         return
     if lower == NEG_INF:
-        yield mirror_up, -1, 1
+        yield mirror_up, -1
         return
     width = int(upper - lower)
     # Doubly infinite alternating series over the reflection group; both
@@ -138,14 +134,13 @@ def _strict_terms(jumps: int, ups: int, i: int, j: int, lower, upper):
     n = 1
     while True:
         alive = False
-        for idx, order in ((ups + n * width, 2 * n), (ups - n * width, 2 * n)):
+        for idx in (ups + n * width, ups - n * width):
             if 0 <= idx <= jumps:
-                yield idx, 1, order
+                yield idx, 1
                 alive = True
-        for idx, order in ((mirror_low + n * width, 2 * n - 1),
-                           (mirror_low - (n - 1) * width, 2 * n - 1)):
+        for idx in (mirror_low + n * width, mirror_low - (n - 1) * width):
             if 0 <= idx <= jumps:
-                yield idx, -1, order
+                yield idx, -1
                 alive = True
         if not alive:
             break
@@ -154,7 +149,7 @@ def _strict_terms(jumps: int, ups: int, i: int, j: int, lower, upper):
 
 def _strict_count(jumps: int, ups: int, i: int, j: int, lower, upper) -> int:
     total = 0
-    for idx, sign, _ in _strict_terms(jumps, ups, i, j, lower, upper):
+    for idx, sign in _strict_terms(jumps, ups, i, j, lower, upper):
         total += sign * _comb0(jumps, idx)
     return total
 
@@ -190,67 +185,15 @@ def bridge_count(spec: BridgeSpec) -> int:
     return n
 
 
-def first_order_count(spec: BridgeSpec) -> int:
-    """Count truncated after single reflections plus the first double-reflection pair.
-
-    Exact whenever ``uses_higher_order_reflections`` is False; kept as a
-    diagnostic for narrow corridors where the full series adds terms.
-    """
-    if not spec.feasible:
-        return 0
-    jumps, ups, i, j = _reduced(spec)
-    total = 0
-    for idx, sign, order in _strict_terms(jumps, ups, i, j, spec.lower, spec.upper):
-        if order <= 2:
-            total += sign * _comb0(jumps, idx)
-    return total
-
-
-def uses_higher_order_reflections(spec: BridgeSpec) -> bool:
-    """True when the corridor is narrow enough that reflections beyond the
-    first double pair contribute to the count."""
-    if not spec.feasible:
-        return False
-    jumps, ups, i, j = _reduced(spec)
-    return any(
-        order > 2 and _comb0(jumps, idx) > 0
-        for idx, _, order in _strict_terms(jumps, ups, i, j, spec.lower, spec.upper)
-    )
-
-
-def _log_comb(n: int, m) -> float:
-    if m < 0 or m > n:
-        return NEG_INF
-    return math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
-
-
 def log_bridge_count(spec: BridgeSpec) -> float:
-    """log(bridge_count), usable past the exact-integer limit.
+    """log(bridge_count(spec)), or -inf for an empty space.
 
-    Up to ``LOG_EXACT_SWITCH`` jumps this is the log of the exact integer.
-    Beyond, the alternating series is summed in max-shifted log space; if
-    cancellation eats the result the exact integer route is used as fallback.
+    The log of the exact integer, so it is accurate to rounding.  Like
+    :func:`bridge_count` it raises :class:`CapacityError` above
+    ``EXACT_JUMP_LIMIT`` jumps.
     """
-    if not spec.feasible:
-        return NEG_INF
-    if spec.jumps <= LOG_EXACT_SWITCH:
-        n = bridge_count(spec)
-        return math.log(n) if n > 0 else NEG_INF
-    jumps, ups, i, j = _reduced(spec)
-    terms = [(sign, _log_comb(jumps, idx))
-             for idx, sign, _ in _strict_terms(jumps, ups, i, j, spec.lower, spec.upper)]
-    terms = [(s, lg) for s, lg in terms if lg != NEG_INF]
-    if not terms:
-        return NEG_INF
-    shift = max(lg for _, lg in terms)
-    acc = sum(s * math.exp(lg - shift) for s, lg in terms)
-    if acc <= 0:
-        return NEG_INF
-    if acc < 1e-6:
-        # Heavy cancellation: fall back to exact arithmetic.
-        n = bridge_count(spec)
-        return math.log(n) if n > 0 else NEG_INF
-    return shift + math.log(acc)
+    n = bridge_count(spec)
+    return math.log(n) if n > 0 else NEG_INF
 
 
 def log_simplex_density(jumps: int, t: float) -> float:
@@ -274,12 +217,6 @@ def log_bridge_density(spec: BridgeSpec) -> float:
     if logn == NEG_INF:
         raise ZeroMeasureSpace(f"no bridges for {spec}")
     return log_simplex_density(spec.jumps, spec.t) - logn
-
-
-@lru_cache(maxsize=512)
-def _enumerate_cached(spec: BridgeSpec) -> tuple[tuple[int, ...], ...]:
-    """Immutable enumeration cache for repeated indexed sampling."""
-    return tuple(tuple(p) for p in enumerate_bridges(spec, max_jumps=None))
 
 
 def enumerate_bridges(spec: BridgeSpec, max_jumps: int | None = 20) -> list[list[int]]:

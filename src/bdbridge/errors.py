@@ -21,7 +21,7 @@ class CapacityError(OverflowError):
 
 
 class RejectionCapExceeded(RuntimeError):
-    """The skeleton rejection sampler hit its retry cap.
+    """The batch skeleton shuffle hit its round cap.
 
     Carries ``tries`` and ``accepted`` so the observed acceptance rate can be
     reported instead of silently biasing or hanging.

@@ -31,6 +31,7 @@ from .models import SIRParams, sir_as_bd
 from .sampler import RngStream, _draw_padded
 
 POSTERIOR_TOL = 1e-12
+_PROPAGATE_MAX_ROUNDS = 1_000_000
 
 
 @dataclass
@@ -205,14 +206,14 @@ class BootstrapResult:
 
 
 def _propagate_pairs(infectious: np.ndarray, s_start: int, params: SIRParams,
-                     dt: float, rng: RngStream, max_rounds: int = 1_000_000):
+                     dt: float, rng: RngStream):
     """Forward-simulate (S, I) pairs over one interval for every particle."""
     n = len(infectious)
     s = np.full(n, s_start, np.int64)
     i = infectious.astype(np.int64).copy()
     now = np.zeros(n)
     active = i > 0
-    for _ in range(max_rounds):
+    for _ in range(_PROPAGATE_MAX_ROUNDS):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             return s, i

@@ -20,6 +20,8 @@ from .errors import ModelDomainError, UnsupportedCaseError
 from .models import BirthDeathModel, LBDIParams
 from .sampler import RngStream
 
+_SIM_MAX_ROUNDS = 100_000
+
 
 @dataclass
 class SimPath:
@@ -124,12 +126,12 @@ def gillespie_simulate(model: BirthDeathModel, y0: int, t: float,
 
 
 def _terminal_states(model: BirthDeathModel, y0: int, t: float, n: int,
-                     rng: RngStream, max_rounds: int = 100_000) -> np.ndarray:
+                     rng: RngStream) -> np.ndarray:
     """Vectorized forward simulation returning only the time-t states."""
     state = np.full(n, y0, np.int64)
     now = np.zeros(n)
     active = np.ones(n, bool)
-    for _ in range(max_rounds):
+    for _ in range(_SIM_MAX_ROUNDS):
         idx = np.flatnonzero(active)
         if idx.size == 0:
             return state

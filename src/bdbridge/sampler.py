@@ -1,12 +1,13 @@
 """Uniform sampling over jump-time simplexes and taboo-bounded skeletons.
 
 A bridge path factors into two independent uniform draws: sorted i.i.d.
-uniform jump times, and a uniformly chosen admissible skeleton.  Skeletons
-come from shuffling the up/down step multiset and rejecting arrangements that
-touch a taboo bound; tiny spaces are enumerated once and indexed instead.
+uniform jump times, and a uniformly chosen admissible skeleton.
+``sample_skeleton`` unranks a uniform index through the exact skeleton
+counts, so it never rejects, however narrow the corridor.
 
 ``_draw_padded`` is the vectorized core used by the estimators: rows may have
-different endpoints and step counts.  It returns matrices as wide as the
+different endpoints and step counts, and each row's step multiset is shuffled
+until it avoids the taboo bounds.  It returns matrices as wide as the
 longest row, with zero steps and zero-length holding intervals past each
 row's end, so downstream likelihood sums are unaffected.  Inside, rows are
 grouped by their own length into power-of-two width classes (small classes
@@ -25,13 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import NEG_INF, BridgeSpec, _enumerate_cached, bridge_count
+from .counting import NEG_INF, BridgeSpec, _count_cached, _reduced, bridge_count
 from .errors import BridgeDomainError, RejectionCapExceeded, ZeroMeasureSpace
-
-#: Spaces at most this large are enumerated once and sampled by index.
-ENUM_CARD_LIMIT = 4096
-#: ... provided they are also short enough for enumeration to stay cheap.
-ENUM_JUMP_LIMIT = 64
 
 _BATCH_MAX_ROUNDS = 10_000
 #: Width classes smaller than this many cells join the next wider class: a
@@ -140,57 +136,53 @@ def sample_times(jumps: int, t: float, rng: RngStream) -> np.ndarray:
             return u
 
 
-def sample_skeleton(spec: BridgeSpec, rng: RngStream, method: str = "auto",
-                    max_tries: int = 1_000_000, stats: dict | None = None) -> np.ndarray:
+def _uniform_index(card: int, gen: np.random.Generator) -> int:
+    """A uniform integer in [0, card), exact also for card >= 2**63."""
+    if card < 1 << 63:
+        return int(gen.integers(card))
+    bits = card.bit_length()
+    nbytes = (bits + 7) // 8
+    while True:
+        idx = int.from_bytes(gen.bytes(nbytes), "little") >> (8 * nbytes - bits)
+        if idx < card:
+            return idx
+
+
+def sample_skeleton(spec: BridgeSpec, rng: RngStream) -> np.ndarray:
     """One uniform draw from the admissible skeletons, as states omega_0..omega_K.
 
-    ``method`` is "auto" (enumerate-and-index small spaces, otherwise shuffle
-    with rejection), "enumerate", or "reject".  Acceptance telemetry is left
-    in ``stats`` when a dict is supplied.
+    Skeletons are ranked in the order of :func:`counting.enumerate_bridges`,
+    down steps before up steps.  A uniform rank below ``bridge_count(spec)``
+    is unranked through the exact count of the strict-interior sub-bridges
+    left after each step, so the draw takes one random index, never rejects,
+    and costs K cached counts.
     """
     card = bridge_count(spec)
     if card == 0:
         raise ZeroMeasureSpace(f"no skeletons for {spec}")
-    if method not in ("auto", "enumerate", "reject"):
-        raise ValueError(f"unknown method {method!r}")
-    use_enum = method == "enumerate" or (
-        method == "auto" and card <= ENUM_CARD_LIMIT and spec.jumps <= ENUM_JUMP_LIMIT
-    )
-    if use_enum:
-        paths = _enumerate_cached(spec)
-        idx = int(rng.gen.integers(card))
-        if stats is not None:
-            stats.update(method="enumerate", tries=1)
-        return np.asarray(paths[idx], dtype=np.int64)
-
-    # Fisher-Yates shuffle of the step multiset, rejecting bound violations.
-    if spec.ends_at_lower:
-        length, ups, tail = spec.jumps - 1, spec.up_jumps, int(spec.lower)
-    elif spec.ends_at_upper:
-        length, ups, tail = spec.jumps - 1, spec.up_jumps - 1, int(spec.upper)
-    else:
-        length, ups, tail = spec.jumps, spec.up_jumps, None
-    template = np.concatenate([np.ones(ups, np.int64), -np.ones(length - ups, np.int64)])
-    tries = 0
-    while tries < max_tries:
-        tries += 1
-        steps = rng.gen.permutation(template)
-        states = spec.i + np.cumsum(steps)
-        if np.all((states > spec.lower) & (states < spec.upper)):
-            if stats is not None:
-                stats.update(method="reject", tries=tries)
-            out = np.concatenate([[spec.i], states])
-            if tail is not None:
-                out = np.concatenate([out, [tail]])
-            return out
-    raise RejectionCapExceeded(tries, 0, max_tries)
+    idx = _uniform_index(card, rng.gen)
+    jumps, ups, state, j = _reduced(spec)
+    out = [state]
+    for rest in range(jumps - 1, -1, -1):
+        # Sub-bridges after a down step.  From a state on a bound the
+        # reflection series cancels to 0, so that step is never taken.
+        down = _count_cached(rest, ups, state - 1, j, spec.lower, spec.upper)
+        if idx < down:
+            state -= 1
+        else:
+            idx -= down
+            state += 1
+            ups -= 1
+        out.append(state)
+    if spec.ends_at_lower or spec.ends_at_upper:
+        out.append(spec.j)
+    return np.asarray(out, dtype=np.int64)
 
 
-def sample_bridge(spec: BridgeSpec, rng: RngStream, method: str = "auto",
-                  max_tries: int = 1_000_000) -> BridgePath:
+def sample_bridge(spec: BridgeSpec, rng: RngStream) -> BridgePath:
     """Assemble one uniform bridge path: independent time and skeleton draws."""
     mid = sample_times(spec.jumps, spec.t, rng)
-    skeleton = sample_skeleton(spec, rng, method=method, max_tries=max_tries)
+    skeleton = sample_skeleton(spec, rng)
     times = np.concatenate([[0.0], mid, [spec.t]])
     states = np.concatenate([skeleton, [spec.j]])
     return BridgePath(times, states)
@@ -226,7 +218,7 @@ def _width_classes(lengths: np.ndarray, cap: int):
 
 
 def _draw_padded(i, j, up_jumps: int, t: float, lower, upper, size: int,
-                 rng: RngStream, max_rounds: int = _BATCH_MAX_ROUNDS):
+                 rng: RngStream):
     """Vectorized uniform draws for ``size`` bridges sharing ``up_jumps`` and ``t``.
 
     ``i``, ``j`` and ``upper`` may vary per row; ``lower`` is shared.  Rows
@@ -271,7 +263,7 @@ def _draw_padded(i, j, up_jumps: int, t: float, lower, upper, size: int,
     pending = np.arange(size)
     tries = 0
     accepted = 0
-    for _ in range(max_rounds):
+    for _ in range(_BATCH_MAX_ROUNDS):
         if pending.size == 0:
             break
         keys = rng.gen.random((pending.size, len_max))
@@ -305,7 +297,7 @@ def _draw_padded(i, j, up_jumps: int, t: float, lower, upper, size: int,
         accepted += int(ok.sum())
         pending = pending[~ok]
     if pending.size:
-        raise RejectionCapExceeded(tries, accepted, max_rounds)
+        raise RejectionCapExceeded(tries, accepted, _BATCH_MAX_ROUNDS)
 
     rows_low = np.flatnonzero(ends_low)
     steps[rows_low, length[rows_low]] = -1

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bdbridge import LBDIParams, SISParams, lbdi_model, sis_model
+from bdbridge import BridgeSpec, LBDIParams, SISParams, bridge_count, lbdi_model, sis_model
+from bdbridge.errors import BridgeDomainError
 from bdbridge.sampler import RngStream
 
 
@@ -37,3 +38,26 @@ def zero_model():
 
     return BirthDeathModel(lambda y: 0.0 * np.asarray(y),
                            lambda y: 0.0 * np.asarray(y), name="frozen")
+
+
+@pytest.fixture(scope="session")
+def uniformity_family():
+    """Skeleton spaces of 2 to 50 paths for uniformity sweeps: corridors
+    (0, width) of width 2..6 with up to 10 jumps, absorbing lower terminals
+    included, plus a few unbounded spaces."""
+    specs = []
+    for width in range(2, 7):
+        for i in range(1, width):
+            for j in range(0, width):
+                for ups in range(0, 8):
+                    try:
+                        spec = BridgeSpec(i=i, j=j, up_jumps=ups, lower=0, upper=width)
+                    except BridgeDomainError:
+                        continue
+                    if spec.jumps <= 10 and 2 <= bridge_count(spec) <= 50:
+                        specs.append(spec)
+    for i, j, ups in ((0, 0, 2), (0, 0, 3), (0, 1, 2), (0, 2, 3), (1, 0, 2)):
+        spec = BridgeSpec(i=i, j=j, up_jumps=ups)
+        if 2 <= bridge_count(spec) <= 50:
+            specs.append(spec)
+    return specs

@@ -21,7 +21,7 @@ from bdbridge.inference import GridSpec, SearchConfig, fit_mle
 from bdbridge.likelihood import BSet, choose_bset, estimate_pij, estimate_pij_b
 from bdbridge.models import LBDIParams, SIRParams, SISParams, lbdi_model, sis_model
 from bdbridge.reference import lbdi_transition, straight_estimate
-from bdbridge.sampler import RngStream, sample_skeleton
+from bdbridge.sampler import RngStream, _draw_padded, sample_skeleton, sample_times
 
 TABLE5_CI_BETA = (0.0011, 0.0024)
 TABLE5_CI_GAMMA = (0.1624, 0.4032)
@@ -224,29 +224,10 @@ def test_criterion_7_filtering_failure_exorcism():
            f"optimum |{boot.loglik:.2f} - {igbs:.2f}| <= 1 nat")
 
 
-def _uniformity_family():
-    specs = []
-    for width in range(2, 7):
-        for i in range(1, width):
-            for j in range(0, width):
-                for ups in range(0, 8):
-                    try:
-                        spec = BridgeSpec(i=i, j=j, up_jumps=ups, lower=0, upper=width)
-                    except BridgeDomainError:
-                        continue
-                    if spec.jumps <= 10 and 2 <= bridge_count(spec) <= 50:
-                        specs.append(spec)
-    for i, j, ups in ((0, 0, 2), (0, 0, 3), (0, 1, 2), (0, 2, 3), (1, 0, 2)):
-        spec = BridgeSpec(i=i, j=j, up_jumps=ups)
-        if 2 <= bridge_count(spec) <= 50:
-            specs.append(spec)
-    return specs
-
-
-def test_criterion_8_sampler_statistics():
+def test_criterion_8_sampler_statistics(uniformity_family):
     """Skeleton uniformity, order-statistic law, and seeded reproducibility."""
     t0 = time.time()
-    specs = _uniformity_family()
+    specs = uniformity_family
     assert len(specs) >= 40
     worst_p = 1.0
     rng = RngStream(21_500)
@@ -260,15 +241,19 @@ def test_criterion_8_sampler_statistics():
         assert pval > 0.001, (spec, pval)
         worst_p = min(worst_p, pval)
 
+    # Sorted jump times from sample_times and from the batch core's time
+    # draw (K down steps, unbounded) follow the Beta order-statistic law.
     k_total, t_len, reps = 5, 2.0, 100_000
     tick = RngStream(21_600)
-    draws = np.sort(tick.gen.uniform(0, t_len, (reps, k_total)), axis=1)
+    scalar = np.array([sample_times(k_total, t_len, tick) for _ in range(reps)])
+    _, dtau, _ = _draw_padded(k_total, 0, 0, t_len, -np.inf, np.inf, reps, tick)
     ks_worst = 1.0
-    for k in range(1, k_total + 1):
-        pval = stats.kstest(draws[:, k - 1] / t_len,
-                            stats.beta(k, k_total - k + 1).cdf).pvalue
-        assert pval > 0.001, (k, pval)
-        ks_worst = min(ks_worst, pval)
+    for draws in (scalar, np.cumsum(dtau, axis=1)[:, :k_total]):
+        for k in range(1, k_total + 1):
+            pval = stats.kstest(draws[:, k - 1] / t_len,
+                                stats.beta(k, k_total - k + 1).cdf).pvalue
+            assert pval > 0.001, (k, pval)
+            ks_worst = min(ks_worst, pval)
 
     model = sis_model(SISParams(n0=30, beta=0.003, gamma=1.0))
     single = estimate_pij(model, 5, 7, 1.0, BSet(range(2, 10)), 200_000,

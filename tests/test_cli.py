@@ -176,6 +176,28 @@ def test_nonpositive_threads_is_usage_error(capsys):
     assert code == 1 and "usage error" in err and "--threads" in err
 
 
+_FIT_ARGS = ("fit", "--data", shigellosis_path(), "--beta-range", "0.001:0.003:3",
+             "--gamma-range", "0.15:0.4:3")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("sample", "--i", "5", "--j", "3", "--B", "2"), "--n"),
+    (("transprob", "--model", "sis", "--params", "n0=30,beta=0.003,gamma=1",
+      "--i", "5", "--j", "4", "--t", "1"), "--n"),
+    (("filter", "--data", shigellosis_path(), "--params", "beta=0.0016,gamma=0.26"), "--m"),
+    (("scan-failure", "--data", shigellosis_path(), "--beta-range", "0.001:0.003:2",
+      "--gamma-range", "0.15:0.4:2"), "--particles"),
+    (_FIT_ARGS, "--m"),
+    (_FIT_ARGS, "--replications"),
+    (_FIT_ARGS, "--refinements"),
+])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_nonpositive_sizes_are_usage_errors(capsys, argv, flag, value):
+    code, out, err = run_cli(capsys, *argv, flag, value)
+    assert code == 1 and "usage error" in err and flag in err
+    assert out == ""
+
+
 def test_scan_failure_csv(capsys, tmp_path):
     data = tmp_path / "obs.csv"
     data.write_text("time,S\n0,60\n1,60\n2,59\n3,58\n")

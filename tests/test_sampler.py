@@ -37,12 +37,15 @@ def test_sample_times_uniform_mean(rng):
 
 
 def test_sample_times_order_statistic_law(rng):
-    # The k-th of K sorted uniforms on (0, t) is t * Beta(k, K - k + 1).
+    # The k-th of K sorted uniforms on (0, t) is t * Beta(k, K - k + 1), for
+    # ``sample_times`` and for the batch core's time draw (K down steps).
     reps, k_total, t = 20_000, 5, 2.0
-    draws = np.sort(rng.gen.uniform(0, t, (reps, k_total)), axis=1)
-    for k in range(1, k_total + 1):
-        p = stats.kstest(draws[:, k - 1] / t, stats.beta(k, k_total - k + 1).cdf).pvalue
-        assert p > 0.001, (k, p)
+    scalar = np.array([sample_times(k_total, t, rng) for _ in range(reps)])
+    _, dtau, _ = _draw_padded(k_total, 0, 0, t, -np.inf, np.inf, reps, rng)
+    for draws in (scalar, np.cumsum(dtau, axis=1)[:, :k_total]):
+        for k in range(1, k_total + 1):
+            p = stats.kstest(draws[:, k - 1] / t, stats.beta(k, k_total - k + 1).cdf).pvalue
+            assert p > 0.001, (k, p)
 
 
 def test_arrival_order_exchangeability(rng):
@@ -62,10 +65,45 @@ def test_skeleton_forced_single(rng):
 
 
 def test_skeleton_no_jumps(rng):
-    stats_out = {}
-    spec = BridgeSpec(i=4, j=4, up_jumps=0)
-    assert sample_skeleton(spec, rng, stats=stats_out).tolist() == [4]
-    assert stats_out["tries"] == 1
+    assert sample_skeleton(BridgeSpec(i=4, j=4, up_jumps=0), rng).tolist() == [4]
+
+
+def test_skeleton_narrow_long_corridor(rng):
+    # One admissible path of 120 jumps among C(120, 60) shuffles: the
+    # unranking walk takes it at once, where a shuffle would never hit it.
+    spec = BridgeSpec(i=1, j=1, up_jumps=60, lower=0, upper=3)
+    assert bridge_count(spec) == 1
+    assert sample_skeleton(spec, rng).tolist() == [1, 2] * 60 + [1]
+
+
+@pytest.mark.parametrize("spec", [
+    BridgeSpec(i=5, j=5, up_jumps=3),
+    BridgeSpec(i=2, j=2, up_jumps=4, lower=0, upper=5),
+    BridgeSpec(i=1, j=1, up_jumps=3, lower=0, upper=3),
+    BridgeSpec(i=3, j=0, up_jumps=3, lower=0, upper=6),
+    BridgeSpec(i=2, j=5, up_jumps=5, lower=-1, upper=5),
+    BridgeSpec(i=4, j=1, up_jumps=2, lower=-2),
+])
+def test_skeleton_unranks_enumeration_order(spec):
+    # A seed's draw is the enumeration's path at the index that seed draws.
+    paths = enumerate_bridges(spec, max_jumps=None)
+    for seed in range(25):
+        idx = RngStream(seed).gen.integers(len(paths))
+        assert sample_skeleton(spec, RngStream(seed)).tolist() == paths[idx], seed
+
+
+def test_skeleton_count_beyond_int64():
+    # C(80, 40) > 2**63 skeletons: the index is drawn as an exact big integer.
+    spec = BridgeSpec(i=0, j=0, up_jumps=40)
+    assert bridge_count(spec) >= 1 << 63
+    rng = RngStream(5)
+    first_up = 0
+    n = 2000
+    for _ in range(n):
+        skel = sample_skeleton(spec, rng)
+        BridgePath(np.linspace(0.0, 1.0, 82), np.append(skel, 0)).validate(spec)
+        first_up += int(skel[1] == 1)
+    assert stats.binomtest(first_up, n, 0.5).pvalue > 0.001
 
 
 def test_skeleton_empty_space_errors(rng):
@@ -73,10 +111,9 @@ def test_skeleton_empty_space_errors(rng):
         sample_skeleton(BridgeSpec(i=5, j=8, up_jumps=2), rng)
 
 
-def _chisquare_uniform(spec, draws, rng, method):
+def _chisquare_uniform(spec, draws, rng):
     paths = [tuple(p) for p in enumerate_bridges(spec, max_jumps=None)]
-    counts = Counter(tuple(sample_skeleton(spec, rng, method=method))
-                     for _ in range(draws))
+    counts = Counter(tuple(sample_skeleton(spec, rng)) for _ in range(draws))
     assert set(counts) <= set(paths)
     observed = [counts.get(p, 0) for p in paths]
     return stats.chisquare(observed).pvalue
@@ -84,40 +121,24 @@ def _chisquare_uniform(spec, draws, rng, method):
 
 def test_skeleton_uniform_unbounded(rng):
     spec = BridgeSpec(i=5, j=5, up_jumps=2)
-    p = _chisquare_uniform(spec, 60_000, rng, "auto")
+    p = _chisquare_uniform(spec, 60_000, rng)
     assert p > 0.001
 
 
 def test_skeleton_uniform_rejection_route(rng):
-    # Force the shuffle-and-reject route on a corridor-restricted space.
+    # A corridor-restricted space, where a step-multiset shuffle would be
+    # rejected on most tries.
     spec = BridgeSpec(i=2, j=2, up_jumps=3, lower=0, upper=5)
     card = bridge_count(spec)
     assert 2 <= card <= 50
-    p = _chisquare_uniform(spec, 1500 * card, rng, "reject")
-    assert p > 0.001
-
-
-def test_rejection_law_independent_of_retry_count(rng):
-    # Conditional on acceptance, first-try draws and retried draws follow the
-    # same law (a narrow corridor makes retries common).
-    spec = BridgeSpec(i=2, j=2, up_jumps=3, lower=0, upper=5)
-    paths = [tuple(p) for p in enumerate_bridges(spec)]
-    first, retried = Counter(), Counter()
-    for _ in range(30_000):
-        out = {}
-        skel = tuple(sample_skeleton(spec, rng, method="reject", stats=out))
-        (first if out["tries"] == 1 else retried)[skel] += 1
-    assert sum(retried.values()) > 1000
-    table = np.array([[first.get(p, 0) for p in paths],
-                      [retried.get(p, 0) for p in paths]])
-    p = stats.chi2_contingency(table).pvalue
+    p = _chisquare_uniform(spec, 1500 * card, rng)
     assert p > 0.001
 
 
 def test_skeleton_absorbing_terminal(rng):
     spec = BridgeSpec(i=2, j=0, up_jumps=2, lower=0, upper=5)
-    for method in ("enumerate", "reject"):
-        skel = sample_skeleton(spec, rng, method=method)
+    for _ in range(20):
+        skel = sample_skeleton(spec, rng)
         assert skel[0] == 2 and skel[-1] == 0
         assert np.all(skel[1:-1] > 0)
 
@@ -181,6 +202,30 @@ def test_batch_draw_matches_scalar_law(rng):
     # holding intervals partition (0, t)
     assert np.allclose(dtau.sum(axis=1), spec.t)
     assert np.all(dtau >= 0)
+
+
+def test_batch_draw_uniform_sweep(uniformity_family, rng):
+    # The batch core's skeleton law is uniform on every space of the family
+    # and on spaces that end on their upper bound: one draw of 1000 rows per
+    # admissible path, each space against its enumeration.
+    upper_ends = [BridgeSpec(i=i, j=width, up_jumps=ups, lower=0, upper=width)
+                  for width in range(2, 6) for i in range(1, width)
+                  for ups in range(width - i, width - i + 4)]
+    specs = uniformity_family + [s for s in upper_ends if 2 <= bridge_count(s) <= 50]
+    p_values = []
+    for spec in specs:
+        # A skeleton is coded by the bit pattern of its up steps.
+        bits = 1 << np.arange(spec.jumps)
+        paths = np.array([(np.diff(p) > 0) @ bits
+                          for p in enumerate_bridges(spec, max_jumps=None)])
+        steps, _, jumps = _draw_padded(spec.i, spec.j, spec.up_jumps, spec.t, spec.lower,
+                                       spec.upper, 1000 * len(paths), rng)
+        assert np.all(jumps == spec.jumps)
+        observed = ((steps > 0) @ bits == paths[:, None]).sum(axis=1)
+        assert observed.sum() == len(steps)
+        p_values.append(stats.chisquare(observed).pvalue)
+    assert any(s.ends_at_upper for s in specs) and any(s.ends_at_lower for s in specs)
+    assert min(p_values) * len(specs) > 0.001, min(p_values)
 
 
 def _pad_columns(a: np.ndarray, width: int) -> np.ndarray:
