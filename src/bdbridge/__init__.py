@@ -51,7 +51,6 @@ from .likelihood import (
     choose_bset,
     estimate_pij,
     estimate_pij_b,
-    path_loglik,
     spec_for,
 )
 from .models import (

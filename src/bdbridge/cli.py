@@ -145,12 +145,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _parse_bound(text: str | None):
-    if text is None or text.lower() in ("none", "-inf", "inf", "+inf"):
-        if text is None or text.lower() == "none":
-            return None
+def _parse_bound(text: str):
+    if text.lower() == "none":
+        return None
+    if text.lower() in ("-inf", "inf", "+inf"):
         return float(text)
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer, none or an infinity, got {text!r}") from None
 
 
 def shigellosis_path() -> str:
@@ -185,63 +189,6 @@ def load_shigellosis() -> filters.Observations:
     return load_observations(shigellosis_path())
 
 
-def _read_csv(path, expected_header):
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
-    if not rows or [c.strip() for c in rows[0]] != expected_header:
-        raise DataFormatError(f"{path}: expected header {','.join(expected_header)}")
-    return rows[1:]
-
-
-def load_sample_paths(path):
-    """Re-ingest a ``sample`` CSV as a list of BridgePath values."""
-    from .sampler import BridgePath
-
-    grouped: dict[int, list[tuple[float, int]]] = {}
-    for row in _read_csv(path, ["replicate_id", "k", "tau_k", "omega_k"]):
-        grouped.setdefault(int(row[0]), []).append((float(row[2]), int(row[3])))
-    paths = []
-    for rep in sorted(grouped):
-        times, states = zip(*grouped[rep])
-        paths.append(BridgePath(np.array(times), np.array(states)))
-    return paths
-
-
-def load_sim_path(path) -> reference.SimPath:
-    """Re-ingest a ``simulate`` CSV (its last row carries the horizon)."""
-    rows = [(float(r[0]), int(r[1])) for r in _read_csv(path, ["time", "state"])]
-    if len(rows) < 2:
-        raise DataFormatError(f"{path}: need at least the start and horizon rows")
-    times, states = zip(*rows[:-1])
-    return reference.SimPath(np.array(times), np.array(states), rows[-1][0])
-
-
-def load_scan_csv(path) -> dict:
-    """Re-ingest a ``scan-failure`` CSV as column arrays."""
-    header = ["beta", "gamma", "survival_min", "failed_0p1", "failed_0p01"]
-    rows = _read_csv(path, header)
-    cols = list(zip(*rows))
-    return {
-        "beta": np.array(cols[0], float),
-        "gamma": np.array(cols[1], float),
-        "survival_min": np.array(cols[2], float),
-        "failed_0p1": np.array(cols[3], int).astype(bool),
-        "failed_0p01": np.array(cols[4], int).astype(bool),
-    }
-
-
-def load_surface_csv(path) -> dict:
-    """Re-ingest a ``fit --surface-out`` CSV as column arrays."""
-    rows = _read_csv(path, ["beta", "gamma", "loglik", "loglik_sd"])
-    cols = list(zip(*rows))
-    return {
-        "beta": np.array(cols[0], float),
-        "gamma": np.array(cols[1], float),
-        "loglik": np.array(cols[2], float),
-        "loglik_sd": np.array(cols[3], float),
-    }
-
-
 def _write_csv(path, header, rows):
     out = sys.stdout if path in (None, "-") else open(path, "w", newline="", encoding="utf-8")
     try:
@@ -267,7 +214,7 @@ def _emit(args, payload: str):
 
 def _cmd_count(args):
     spec = BridgeSpec(i=args.i, j=args.j, up_jumps=args.B, t=args.t,
-                      lower=_parse_bound(args.l), upper=_parse_bound(args.u))
+                      lower=args.l, upper=args.u)
     n = bridge_count(spec)
     try:
         log_density = log_bridge_density(spec)
@@ -283,7 +230,7 @@ def _cmd_count(args):
 
 def _cmd_sample(args):
     spec = BridgeSpec(i=args.i, j=args.j, up_jumps=args.B, t=args.t,
-                      lower=_parse_bound(args.l), upper=_parse_bound(args.u))
+                      lower=args.l, upper=args.u)
     rng = RngStream(args.seed)
     rows = []
     for rep in range(args.n):
@@ -425,8 +372,8 @@ def build_parser() -> _Parser:
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--B", type=int, required=True, dest="B")
-    p.add_argument("--l", default=None)
-    p.add_argument("--u", default=None)
+    p.add_argument("--l", type=_parse_bound, default=None)
+    p.add_argument("--u", type=_parse_bound, default=None)
     p.add_argument("--t", type=float, default=1.0)
     add_common(p)
     p.set_defaults(func=_cmd_count)
@@ -435,8 +382,8 @@ def build_parser() -> _Parser:
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--B", type=int, required=True, dest="B")
-    p.add_argument("--l", default=None)
-    p.add_argument("--u", default=None)
+    p.add_argument("--l", type=_parse_bound, default=None)
+    p.add_argument("--u", type=_parse_bound, default=None)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--n", type=_positive_int, default=1, help="number of replicate paths")
     add_common(p)

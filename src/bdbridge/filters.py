@@ -28,10 +28,10 @@ from .counting import NEG_INF, BridgeSpec, log_bridge_count
 from .errors import DataFormatError, ModelDomainError
 from .likelihood import batch_path_loglik
 from .models import SIRParams, sir_as_bd
+from .reference import _terminal_states
 from .sampler import RngStream, _draw_padded
 
 POSTERIOR_TOL = 1e-12
-_PROPAGATE_MAX_ROUNDS = 1_000_000
 
 
 @dataclass
@@ -48,6 +48,9 @@ class Observations:
             raise DataFormatError("times and susceptibles must be equal-length vectors")
         if len(self.times) < 1:
             raise DataFormatError("need at least one observation")
+        if not np.all(np.isfinite(self.times)):
+            k = int(np.flatnonzero(~np.isfinite(self.times))[0]) + 1
+            raise DataFormatError(f"times must be finite (row {k})")
         # Rows are reported 1-based, naming the later entry of a violating pair.
         if np.any(np.diff(self.times) <= 0):
             k = int(np.flatnonzero(np.diff(self.times) <= 0)[0]) + 2
@@ -192,9 +195,9 @@ def run_filter(params: SIRParams, obs: Observations, i0: int, m: int,
 
 
 def igbs_filter_loglik(params: SIRParams, obs: Observations, i0: int, m: int,
-                       rng: RngStream, trace: list | None = None) -> float:
+                       rng: RngStream) -> float:
     """Log-likelihood of the susceptible record under the bridge filter."""
-    return run_filter(params, obs, i0, m, rng, trace=trace)[0]
+    return run_filter(params, obs, i0, m, rng)[0]
 
 
 @dataclass
@@ -205,47 +208,14 @@ class BootstrapResult:
     posterior_final: np.ndarray = field(default=None, repr=False)
 
 
-def _propagate_pairs(infectious: np.ndarray, s_start: int, params: SIRParams,
-                     dt: float, rng: RngStream):
-    """Forward-simulate (S, I) pairs over one interval for every particle."""
-    n = len(infectious)
-    s = np.full(n, s_start, np.int64)
-    i = infectious.astype(np.int64).copy()
-    now = np.zeros(n)
-    active = i > 0
-    for _ in range(_PROPAGATE_MAX_ROUNDS):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
-            return s, i
-        infect = params.beta * s[idx] * i[idx]
-        total = infect + params.gamma * i[idx]
-        frozen = total <= 0.0
-        if frozen.any():
-            active[idx[frozen]] = False
-            idx, infect, total = idx[~frozen], infect[~frozen], total[~frozen]
-            if idx.size == 0:
-                continue
-        wait = rng.gen.exponential(1.0, idx.size) / total
-        u = rng.gen.random(idx.size)
-        t_new = now[idx] + wait
-        done = t_new >= dt
-        active[idx[done]] = False
-        rows = idx[~done]
-        now[rows] = t_new[~done]
-        is_infection = u[~done] < (infect[~done] / total[~done])
-        s[rows] -= is_infection
-        i[rows] += np.where(is_infection, 1, -1)
-        active[rows[i[rows] == 0]] = False
-    raise RuntimeError("pair propagation exceeded the event-round cap")
-
-
 def bootstrap_filter(params: SIRParams, obs: Observations, n_particles: int,
                      threshold: float, rng: RngStream,
                      i0: int = 1) -> BootstrapResult:
     """Sequential importance resampling with the exact 0-1 observation match.
 
-    Weights are indicators that a particle's simulated susceptible count hits
-    the observed one; the per-step surviving fraction below ``threshold``
+    Particles are forward-simulated infectious counts; a particle's weight
+    indicates that its infections over the interval equal the observed drop
+    in susceptibles.  A per-step surviving fraction below ``threshold``
     raises the failure flag (all-zero weights give -inf and failure).
     """
     if n_particles < 1:
@@ -256,10 +226,10 @@ def bootstrap_filter(params: SIRParams, obs: Observations, n_particles: int,
     failed = False
     for k in range(1, len(obs)):
         dt = float(obs.times[k] - obs.times[k - 1])
-        s_end, i_end = _propagate_pairs(
-            infectious, int(obs.susceptibles[k - 1]), params, dt, rng,
-        )
-        hits = s_end == obs.susceptibles[k]
+        s_prev = int(obs.susceptibles[k - 1])
+        i_end, ups = _terminal_states(sir_as_bd(params, s0=s_prev), infectious,
+                                      dt, n_particles, rng)
+        hits = ups == s_prev - obs.susceptibles[k]
         frac = float(hits.mean())
         survival[k - 1] = frac
         if frac < threshold:

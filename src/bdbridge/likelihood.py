@@ -29,9 +29,12 @@ from .counting import (
 )
 from .errors import BridgeDomainError, ModelDomainError
 from .models import BirthDeathModel
-from .sampler import BridgePath, RngStream, _draw_padded, _width_classes
+from .sampler import RngStream, _draw_padded, _width_classes
 
-DEFAULT_BLOCK = 1 << 16
+# Replicates per block; the block layout sets the random stream.
+BLOCK = 1 << 16
+# Pilot up-jump counts tried by choose_bset beyond the minimum feasible one.
+_MAX_PILOT_UP_JUMPS = 512
 
 # Stream-derivation tags; fixed constants keep parallel layouts reproducible.
 _TAG_ESTIMATE = 101
@@ -81,38 +84,6 @@ def _as_bset(bset) -> BSet:
     return bset if isinstance(bset, BSet) else BSet(tuple(bset))
 
 
-def path_loglik(model: BirthDeathModel, path: BridgePath) -> float:
-    """Log-likelihood of one complete bridge path under the model.
-
-    An impossible jump (birth where the birth rate vanishes, or the mirror
-    case) yields -inf, which is a value, not an error; malformed paths raise.
-    """
-    path.validate()
-    states = path.states
-    times = path.times
-    jumps = path.jumps
-    ll = 0.0
-    ups = 0
-    for k in range(1, jumps + 1):
-        pre = int(states[k - 1])
-        step = int(states[k] - states[k - 1])
-        rate = (model.birth_rate(pre, ups) if step == 1 else model.death_rate(pre, ups))
-        rate = float(rate)
-        if rate <= 0.0:
-            return NEG_INF
-        ll += math.log(rate)
-        if step == 1:
-            ups += 1
-    hold_ups = 0
-    for k in range(1, jumps + 2):
-        pre = int(states[k - 1])
-        total = float(model.birth_rate(pre, hold_ups)) + float(model.death_rate(pre, hold_ups))
-        ll -= total * (times[k] - times[k - 1])
-        if k <= jumps and states[k] > states[k - 1]:
-            hold_ups += 1
-    return ll
-
-
 def batch_path_loglik(model: BirthDeathModel, start, steps: np.ndarray,
                       dtau: np.ndarray) -> np.ndarray:
     """Vectorized path log-likelihoods for padded step/interval matrices.
@@ -153,7 +124,7 @@ def batch_path_loglik(model: BirthDeathModel, start, steps: np.ndarray,
 
 def spec_for(model: BirthDeathModel, i: int, j: int, up_jumps: int, t: float) -> BridgeSpec:
     """Bridge spec whose taboo bounds encode the model's declared boundaries."""
-    lower, upper = model.taboo_bounds(i=i, up_jumps=up_jumps)
+    lower, upper = model.taboo_bounds()
     return BridgeSpec(i=i, j=j, up_jumps=up_jumps, t=t, lower=lower, upper=upper)
 
 
@@ -225,8 +196,7 @@ def _build_specs(model, i, j, t, bset: BSet):
 
 
 def estimate_pij(model: BirthDeathModel, i: int, j: int, t: float, bset,
-                 n: int, rng: RngStream, threads: int = 1,
-                 block: int = DEFAULT_BLOCK) -> MCEstimate:
+                 n: int, rng: RngStream, threads: int = 1) -> MCEstimate:
     """Transition probability estimate over a finite set of up-jump counts.
 
     Draws the up-jump count uniformly from ``bset`` per replicate; empty
@@ -250,9 +220,9 @@ def estimate_pij(model: BirthDeathModel, i: int, j: int, t: float, bset,
     if all(lc == NEG_INF for _, lc in specs):
         return MCEstimate(0.0, 0.0, n, NEG_INF)
 
-    sizes = [block] * (n // block)
-    if n % block:
-        sizes.append(n % block)
+    sizes = [BLOCK] * (n // BLOCK)
+    if n % BLOCK:
+        sizes.append(n % BLOCK)
 
     def run_block(args):
         idx, sz = args
@@ -270,18 +240,16 @@ def estimate_pij(model: BirthDeathModel, i: int, j: int, t: float, bset,
 
 
 def estimate_pij_b(model: BirthDeathModel, i: int, j: int, t: float,
-                   up_jumps: int, n: int, rng: RngStream, threads: int = 1,
-                   block: int = DEFAULT_BLOCK) -> MCEstimate:
+                   up_jumps: int, n: int, rng: RngStream,
+                   threads: int = 1) -> MCEstimate:
     """Probability of travelling i -> j in time t with exactly ``up_jumps`` up steps."""
     if up_jumps + i - j < 0:
         return MCEstimate(0.0, 0.0, n, NEG_INF)
-    return estimate_pij(model, i, j, t, BSet((up_jumps,)), n, rng,
-                        threads=threads, block=block)
+    return estimate_pij(model, i, j, t, BSet((up_jumps,)), n, rng, threads=threads)
 
 
 def choose_bset(i: int, j: int, model: BirthDeathModel, t: float, eps: float,
-                rng: RngStream, pilot_n: int = 4096,
-                max_up_jumps: int = 512) -> BSet:
+                rng: RngStream, pilot_n: int = 4096) -> BSet:
     """Grow the up-jump set until additional counts stop mattering.
 
     Cheap pilot estimates are accumulated from the minimum feasible count
@@ -296,7 +264,7 @@ def choose_bset(i: int, j: int, model: BirthDeathModel, t: float, eps: float,
     increments: list[float] = []
     total = 0.0
     b = b_min
-    while b - b_min < max_up_jumps:
+    while b - b_min < _MAX_PILOT_UP_JUMPS:
         est = estimate_pij_b(model, i, j, t, b, pilot_n, rng.child(_TAG_PILOT, b))
         increments.append(est.value)
         total += est.value

@@ -108,7 +108,7 @@ class BirthDeathModel:
             raise ModelDomainError(f"invalid rates ({b}, {d}) at state {state}")
         return b, d
 
-    def taboo_bounds(self, i=None, up_jumps=None) -> tuple[float, float]:
+    def taboo_bounds(self) -> tuple[float, float]:
         """Taboo bounds (exclusive) encoding the declared boundaries.
 
         Absorbing states are untouchable (except as terminal states, handled

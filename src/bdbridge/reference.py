@@ -1,10 +1,10 @@
 """Independent oracles: closed forms, forward simulation, generator exponentials.
 
-Nothing here is used by the estimators; these routes exist so every estimator
-has at least one independent check.  The linear-immigration closed form is a
-binomial mixture of negative binomials; the generator-matrix exponential is a
-second, purely numerical route that also catches transcription mistakes in the
-closed form itself.
+These routes give every estimator an independent check; the forward
+simulator also runs the bootstrap particle filter baseline.  The
+linear-immigration closed form is a binomial mixture of negative binomials;
+the generator exponential is a second, purely numerical route that also
+catches transcription mistakes in the closed form itself.
 """
 
 from __future__ import annotations
@@ -13,14 +13,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.special import gammaln, logsumexp
 
 from .errors import ModelDomainError, UnsupportedCaseError
-from .models import BirthDeathModel, LBDIParams
+from .models import BirthDeathModel, LBDIParams, SIRReducedModel
 from .sampler import RngStream
 
-_SIM_MAX_ROUNDS = 100_000
+_SIM_MAX_ROUNDS = 1_000_000
 
 
 @dataclass
@@ -110,34 +109,38 @@ def gillespie_simulate(model: BirthDeathModel, y0: int, t: float,
     states = [int(y0)]
     now = 0.0
     state = int(y0)
+    ups = 0
     while True:
-        birth = float(model.birth_rate(state))
-        death = float(model.death_rate(state))
+        birth = float(model.birth_rate(state, ups))
+        death = float(model.death_rate(state, ups))
         total = birth + death
         if total <= 0.0:
             break
         now += rng.gen.exponential(1.0 / total)
         if now >= t:
             break
-        state += 1 if rng.gen.random() < birth / total else -1
+        up = rng.gen.random() < birth / total
+        state += 1 if up else -1
+        ups += up
         times.append(now)
         states.append(state)
     return SimPath(np.array(times), np.array(states), t)
 
 
-def _terminal_states(model: BirthDeathModel, y0: int, t: float, n: int,
-                     rng: RngStream) -> np.ndarray:
-    """Vectorized forward simulation returning only the time-t states."""
+def _terminal_states(model: BirthDeathModel, y0, t: float, n: int,
+                     rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized forward simulation of ``n`` paths from ``y0`` (one start, or
+    one per path); returns the time-t states and each path's up-jump count."""
     state = np.full(n, y0, np.int64)
+    ups = np.zeros(n, np.int64)
     now = np.zeros(n)
     active = np.ones(n, bool)
     for _ in range(_SIM_MAX_ROUNDS):
         idx = np.flatnonzero(active)
         if idx.size == 0:
-            return state
-        birth = np.asarray(model.birth_rate(state[idx]), float)
-        death = np.asarray(model.death_rate(state[idx]), float)
-        total = birth + death
+            return state, ups
+        birth = np.asarray(model.birth_rate(state[idx], ups[idx]), float)
+        total = birth + np.asarray(model.death_rate(state[idx], ups[idx]), float)
         dead = total <= 0.0
         if dead.any():
             active[idx[dead]] = False
@@ -153,7 +156,9 @@ def _terminal_states(model: BirthDeathModel, y0: int, t: float, n: int,
         move = ~done
         rows = idx[move]
         now[rows] = t_new[move]
-        state[rows] += np.where(u[move] < birth[move] / total[move], 1, -1)
+        up = u[move] < birth[move] / total[move]
+        state[rows] += np.where(up, 1, -1)
+        ups[rows] += up
     raise RuntimeError("forward simulation exceeded the event-round cap")
 
 
@@ -165,39 +170,55 @@ def straight_estimate(model: BirthDeathModel, i: int, j: int, t: float,
     """
     from .likelihood import MCEstimate  # local import to avoid a cycle
 
-    finals = _terminal_states(model, i, t, n, rng)
+    finals, _ = _terminal_states(model, i, t, n, rng)
     hits = int(np.sum(finals == j))
     p = hits / n
     se = math.sqrt(p * (1.0 - p) / n)
     return MCEstimate(p, se, n, math.log(p) if p > 0 else -math.inf)
 
 
-def generator_matrix(model: BirthDeathModel, n_states: int) -> np.ndarray:
-    """Dense truncated generator on states 0..n_states.
+def _generator(model: BirthDeathModel, cap: int, up_jumps: int | None = None):
+    """Sparse truncated generator on states 0..cap.
 
     The diagonal carries the full exit rate, so probability leaks out at the
-    truncation edge (a substochastic approximation that vanishes as the
-    truncation grows; exact for models whose birth rate dies at the cap).
+    cap (exact for models whose birth rate dies there).  With ``up_jumps``,
+    state (y, up count b) sits at y * (up_jumps + 2) + b, and an up jump from
+    b = up_jumps lands in the last, absorbing overflow layer.
     """
-    dim = n_states + 1
-    q = np.zeros((dim, dim))
-    ys = np.arange(dim)
-    birth = np.asarray(model.birth_rate(ys), float)
-    death = np.asarray(model.death_rate(ys), float)
-    for y in range(dim):
-        if y + 1 <= n_states:
-            q[y, y + 1] = birth[y]
-        if y - 1 >= 0:
-            q[y, y - 1] = death[y]
-        q[y, y] = -(birth[y] + death[y])
-    return q
+    import scipy.sparse  # here, not at module level: only the oracles need it
+
+    if up_jumps is None:
+        layers, up_step, ups = 1, 1, np.zeros(1, np.int64)
+    else:
+        layers, up_step, ups = up_jumps + 2, up_jumps + 3, np.arange(up_jumps + 1)
+    y, b = np.meshgrid(np.arange(cap + 1), ups, indexing="ij")
+    birth = np.broadcast_to(np.asarray(model.birth_rate(y, b), float), y.shape)
+    death = np.broadcast_to(np.asarray(model.death_rate(y, b), float), y.shape)
+    here = y * layers + b
+    up, down = y < cap, y > 0
+    rows = np.concatenate([here[up], here[down], here.ravel()])
+    cols = np.concatenate([here[up] + up_step, here[down] - layers, here.ravel()])
+    vals = np.concatenate([birth[up], death[down], -(birth + death).ravel()])
+    dim = (cap + 1) * layers
+    return scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+
+
+def _expm_entry(q, t: float, row: int, col: int) -> float:
+    """Entry (row, col) of exp(q t), from exp(q^T t) applied to a unit vector."""
+    from scipy.sparse.linalg import expm_multiply  # here: only the oracles need it
+
+    start = np.zeros(q.shape[0])
+    start[row] = 1.0
+    return float(expm_multiply(q.T * t, start)[col])
 
 
 def generator_transition(model: BirthDeathModel, i: int, j: int, t: float,
                          n_states: int = 200) -> float:
-    """Transition probability via the matrix exponential of the truncated generator."""
-    p = expm(generator_matrix(model, n_states) * t)
-    return float(p[i, j])
+    """Transition probability via the exponential of the truncated generator."""
+    if isinstance(model, SIRReducedModel):  # this state space has no up count
+        raise UnsupportedCaseError("SIR rates depend on the up-jump count; sum "
+                                   "generator_transition_fixed_ups over it")
+    return _expm_entry(_generator(model, n_states), t, i, j)
 
 
 def generator_transition_fixed_ups(model: BirthDeathModel, i: int, j: int,
@@ -213,21 +234,5 @@ def generator_transition_fixed_ups(model: BirthDeathModel, i: int, j: int,
     if up_jumps + i - j < 0:
         return 0.0
     cap = i + up_jumps if n_states is None else n_states
-    layers = up_jumps + 2  # up-counts 0..B plus one absorbing overflow layer
-    dim = (cap + 1) * layers
-
-    def at(y, b):
-        return y * layers + b
-
-    q = np.zeros((dim, dim))
-    for y in range(cap + 1):
-        for b in range(up_jumps + 1):
-            birth = float(model.birth_rate(y, b))
-            death = float(model.death_rate(y, b))
-            if y + 1 <= cap:
-                q[at(y, b), at(y + 1, b + 1)] = birth
-            if y - 1 >= 0:
-                q[at(y, b), at(y - 1, b)] = death
-            q[at(y, b), at(y, b)] = -(birth + death)
-    p = expm(q * t)
-    return float(p[at(i, 0), at(j, up_jumps)])
+    layers = up_jumps + 2
+    return _expm_entry(_generator(model, cap, up_jumps), t, i * layers, j * layers + up_jumps)

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from bdbridge import BridgeSpec, LBDIParams, SISParams, bridge_count, lbdi_model, sis_model
+from bdbridge.counting import NEG_INF
 from bdbridge.errors import BridgeDomainError
 from bdbridge.sampler import RngStream
 
@@ -61,3 +64,41 @@ def uniformity_family():
         if 2 <= bridge_count(spec) <= 50:
             specs.append(spec)
     return specs
+
+
+def _path_loglik(model, path) -> float:
+    """Log-likelihood of one complete bridge path, jump by jump.
+
+    An impossible jump (birth where the birth rate vanishes, or the mirror
+    case) yields -inf.  This loop is the reference for the vectorized
+    ``likelihood.batch_path_loglik``.
+    """
+    states = path.states
+    times = path.times
+    jumps = path.jumps
+    ll = 0.0
+    ups = 0
+    for k in range(1, jumps + 1):
+        pre = int(states[k - 1])
+        step = int(states[k] - states[k - 1])
+        rate = (model.birth_rate(pre, ups) if step == 1 else model.death_rate(pre, ups))
+        rate = float(rate)
+        if rate <= 0.0:
+            return NEG_INF
+        ll += math.log(rate)
+        if step == 1:
+            ups += 1
+    hold_ups = 0
+    for k in range(1, jumps + 2):
+        pre = int(states[k - 1])
+        total = float(model.birth_rate(pre, hold_ups)) + float(model.death_rate(pre, hold_ups))
+        ll -= total * (times[k] - times[k - 1])
+        if k <= jumps and states[k] > states[k - 1]:
+            hold_ups += 1
+    return ll
+
+
+@pytest.fixture(scope="session")
+def path_loglik():
+    """The scalar path log-likelihood oracle."""
+    return _path_loglik

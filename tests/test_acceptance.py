@@ -123,7 +123,7 @@ def test_criterion_4_sis_cross_validation():
     n_straight = 1_000_000
     from bdbridge.reference import _terminal_states
 
-    finals = _terminal_states(model, 5, 1.0, n_straight, RngStream(20_400))
+    finals, _ = _terminal_states(model, 5, 1.0, n_straight, RngStream(20_400))
     counts = np.bincount(finals, minlength=31)
     worst = 0.0
     for j in range(0, 22):

@@ -1,22 +1,15 @@
+import csv
 import json
 import math
 
 import numpy as np
 import pytest
 
-from bdbridge.cli import (
-    _dump_json,
-    load_observations,
-    load_sample_paths,
-    load_scan_csv,
-    load_shigellosis,
-    load_sim_path,
-    load_surface_csv,
-    main,
-    shigellosis_path,
-)
+from bdbridge.cli import _dump_json, load_observations, load_shigellosis, main, shigellosis_path
+from bdbridge.errors import DataFormatError
 from bdbridge.models import LBDIParams
-from bdbridge.reference import lbdi_transition
+from bdbridge.reference import SimPath, lbdi_transition
+from bdbridge.sampler import BridgePath
 
 SHIGELLA_S = [198, 198, 198, 198, 198, 197, 197, 197, 197, 196, 195, 190, 189,
               186, 186, 184, 181, 177, 170, 166, 163, 161, 160, 160, 160, 160,
@@ -27,6 +20,62 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+# Readers for the CSVs the command line writes; only the round-trip test uses them.
+def _read_csv(path, expected_header):
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [r for r in csv.reader(fh) if r and not r[0].lstrip().startswith("#")]
+    if not rows or [c.strip() for c in rows[0]] != expected_header:
+        raise DataFormatError(f"{path}: expected header {','.join(expected_header)}")
+    return rows[1:]
+
+
+def load_sample_paths(path):
+    """Re-ingest a ``sample`` CSV as a list of BridgePath values."""
+    grouped: dict[int, list[tuple[float, int]]] = {}
+    for row in _read_csv(path, ["replicate_id", "k", "tau_k", "omega_k"]):
+        grouped.setdefault(int(row[0]), []).append((float(row[2]), int(row[3])))
+    paths = []
+    for rep in sorted(grouped):
+        times, states = zip(*grouped[rep])
+        paths.append(BridgePath(np.array(times), np.array(states)))
+    return paths
+
+
+def load_sim_path(path) -> SimPath:
+    """Re-ingest a ``simulate`` CSV (its last row carries the horizon)."""
+    rows = [(float(r[0]), int(r[1])) for r in _read_csv(path, ["time", "state"])]
+    if len(rows) < 2:
+        raise DataFormatError(f"{path}: need at least the start and horizon rows")
+    times, states = zip(*rows[:-1])
+    return SimPath(np.array(times), np.array(states), rows[-1][0])
+
+
+def load_scan_csv(path) -> dict:
+    """Re-ingest a ``scan-failure`` CSV as column arrays."""
+    header = ["beta", "gamma", "survival_min", "failed_0p1", "failed_0p01"]
+    rows = _read_csv(path, header)
+    cols = list(zip(*rows))
+    return {
+        "beta": np.array(cols[0], float),
+        "gamma": np.array(cols[1], float),
+        "survival_min": np.array(cols[2], float),
+        "failed_0p1": np.array(cols[3], int).astype(bool),
+        "failed_0p01": np.array(cols[4], int).astype(bool),
+    }
+
+
+def load_surface_csv(path) -> dict:
+    """Re-ingest a ``fit --surface-out`` CSV as column arrays."""
+    rows = _read_csv(path, ["beta", "gamma", "loglik", "loglik_sd"])
+    cols = list(zip(*rows))
+    return {
+        "beta": np.array(cols[0], float),
+        "gamma": np.array(cols[1], float),
+        "loglik": np.array(cols[2], float),
+        "loglik_sd": np.array(cols[3], float),
+    }
 
 
 def test_embedded_dataset_matches_record():
@@ -50,6 +99,11 @@ def test_load_observations_errors(tmp_path):
     frac.write_text("time,S\n0,10.5\n")
     with pytest.raises(Exception):
         load_observations(frac)
+    for times, row in (("0 1 inf", 3), ("0 nan 2", 2), ("-inf 1 2", 1)):
+        nonfinite = tmp_path / "nonfinite.csv"
+        nonfinite.write_text("time,S\n" + "".join(f"{t},9\n" for t in times.split()))
+        with pytest.raises(DataFormatError, match=rf"finite \(row {row}\)"):
+            load_observations(nonfinite)
 
 
 def test_single_row_gives_zero_loglik(tmp_path, capsys):
@@ -193,6 +247,17 @@ _FIT_ARGS = ("fit", "--data", shigellosis_path(), "--beta-range", "0.001:0.003:3
 ])
 @pytest.mark.parametrize("value", ["0", "-3"])
 def test_nonpositive_sizes_are_usage_errors(capsys, argv, flag, value):
+    code, out, err = run_cli(capsys, *argv, flag, value)
+    assert code == 1 and "usage error" in err and flag in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("count", "--i", "1", "--j", "1", "--B", "2"), "--l"),
+    (("sample", "--i", "1", "--j", "1", "--B", "2"), "--u"),
+])
+@pytest.mark.parametrize("value", ["abc", "1.5"])
+def test_malformed_bounds_are_usage_errors(capsys, argv, flag, value):
     code, out, err = run_cli(capsys, *argv, flag, value)
     assert code == 1 and "usage error" in err and flag in err
     assert out == ""

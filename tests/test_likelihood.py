@@ -8,10 +8,10 @@ from bdbridge.errors import BridgeDomainError, ModelDomainError
 from bdbridge.likelihood import (
     BSet,
     MCEstimate,
+    batch_path_loglik,
     choose_bset,
     estimate_pij,
     estimate_pij_b,
-    path_loglik,
 )
 from bdbridge.models import LBDIParams, SIRParams, lbdi_model, sir_as_bd
 from bdbridge.reference import generator_transition_fixed_ups, lbdi_transition
@@ -28,32 +28,39 @@ def test_bset_validation():
     assert list(BSet((0, 1, 5))) == [0, 1, 5]
 
 
-def test_path_loglik_no_jumps(lbdi_table_model):
+def _batch_one(model, path) -> float:
+    """``batch_path_loglik`` on the one-row step and interval matrices of ``path``."""
+    steps = np.diff(path.states[:path.jumps + 1])[None, :]
+    return float(batch_path_loglik(model, path.states[0], steps, np.diff(path.times)[None, :])[0])
+
+
+def test_path_loglik_no_jumps(lbdi_table_model, path_loglik):
     path = BridgePath(np.array([0.0, 1.0]), np.array([5, 5]))
     assert path_loglik(lbdi_table_model, path) == pytest.approx(-8.2)
+    assert _batch_one(lbdi_table_model, path) == pytest.approx(-8.2)
 
 
-def test_path_loglik_hand_example():
+def test_path_loglik_hand_example(path_loglik):
     # One death from state 1 at time 0.5; after absorption both rates vanish,
     # so the exposure integral gains nothing on (0.5, 1].
     model = lbdi_model(LBDIParams(lam=0.8, mu=0.6, nu=0.0))
     path = BridgePath(np.array([0.0, 0.5, 1.0]), np.array([1, 0, 0]))
     assert path_loglik(model, path) == pytest.approx(math.log(0.6) - 1.4 * 0.5)
+    assert _batch_one(model, path) == pytest.approx(math.log(0.6) - 1.4 * 0.5)
 
 
-def test_path_loglik_impossible_jump(sis_table_model):
+def test_path_loglik_impossible_jump(sis_table_model, path_loglik):
     # A down jump out of the absorbing state has rate zero: -inf, not an error.
     path = BridgePath(np.array([0.0, 0.3, 0.6, 1.0]), np.array([1, 0, -1, -1]))
     assert path_loglik(sis_table_model, path) == NEG_INF
+    assert _batch_one(sis_table_model, path) == NEG_INF
 
 
-def test_path_loglik_malformed_is_error(lbdi_table_model):
+def test_path_loglik_malformed_is_error():
     with pytest.raises(BridgeDomainError):
-        path_loglik(lbdi_table_model,
-                    BridgePath(np.array([0.0, 0.7, 0.3, 1.0]), np.array([2, 3, 4, 4])))
+        BridgePath(np.array([0.0, 0.7, 0.3, 1.0]), np.array([2, 3, 4, 4])).validate()
     with pytest.raises(BridgeDomainError):
-        path_loglik(lbdi_table_model,
-                    BridgePath(np.array([0.0, 0.5, 1.0]), np.array([2, 4, 4])))
+        BridgePath(np.array([0.0, 0.5, 1.0]), np.array([2, 4, 4])).validate()
 
 
 def test_estimate_deterministic_model(zero_model, rng):

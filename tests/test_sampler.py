@@ -10,7 +10,7 @@ from scipy import stats
 import bdbridge.sampler as sampler_module
 from bdbridge.counting import BridgeSpec, bridge_count, enumerate_bridges
 from bdbridge.errors import ZeroMeasureSpace
-from bdbridge.likelihood import batch_path_loglik, path_loglik
+from bdbridge.likelihood import batch_path_loglik
 from bdbridge.sampler import (
     BridgePath,
     RngStream,
@@ -46,16 +46,6 @@ def test_sample_times_order_statistic_law(rng):
         for k in range(1, k_total + 1):
             p = stats.kstest(draws[:, k - 1] / t, stats.beta(k, k_total - k + 1).cdf).pvalue
             assert p > 0.001, (k, p)
-
-
-def test_arrival_order_exchangeability(rng):
-    # Rank patterns of the pre-sort draws are uniform over all 4! orders.
-    reps = 48_000
-    raw = rng.gen.uniform(0, 1, (reps, 4))
-    patterns = Counter(tuple(np.argsort(row)) for row in raw)
-    assert len(patterns) == 24
-    p = stats.chisquare(list(patterns.values())).pvalue
-    assert p > 0.001
 
 
 def test_skeleton_forced_single(rng):
@@ -289,7 +279,7 @@ def test_width_classes_partition_rows(monkeypatch):
             assert widths == [70]
 
 
-def test_batch_draw_mixed_rows_consistent(lbdi_table_model, monkeypatch):
+def test_batch_draw_mixed_rows_consistent(lbdi_table_model, path_loglik, monkeypatch):
     # Rows of many lengths, weighed together, must agree row by row with the
     # scalar path log-likelihood.  The batch has zero-jump rows, jump counts
     # in at least four width classes, rows ending on a lower or an upper
@@ -301,14 +291,14 @@ def test_batch_draw_mixed_rows_consistent(lbdi_table_model, monkeypatch):
     results = []
     for floor in _class_floors():
         monkeypatch.setattr(sampler_module, "_MIN_CLASS_CELLS", floor)
-        results.append(_check_mixed_rows(RngStream(17), lbdi_table_model))
+        results.append(_check_mixed_rows(RngStream(17), lbdi_table_model, path_loglik))
     (*split_draws, split_ll), (*merged_draws, merged_ll) = results
     for split, merged in zip(split_draws, merged_draws):
         np.testing.assert_array_equal(split, merged)
     np.testing.assert_allclose(split_ll, merged_ll, rtol=1e-12, atol=0)
 
 
-def _check_mixed_rows(rng, model):
+def _check_mixed_rows(rng, model, path_loglik):
     t = 1.3
     draws, specs = [], []
     for lower, ups, i_arr, j_arr, upper in _mixed_row_groups(np.random.default_rng(5)):
