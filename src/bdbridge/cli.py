@@ -259,7 +259,11 @@ def _cmd_transprob(args):
         bset = None
     else:
         if args.bmax is not None:
-            bset = likelihood.BSet(tuple(range(max(0, args.j - args.i), args.bmax + 1)))
+            b_min = max(0, args.j - args.i)
+            if args.bmax < b_min:
+                raise UsageError(f"--bmax {args.bmax} is below {b_min}, the fewest "
+                                 f"up jumps from {args.i} to {args.j}")
+            bset = likelihood.BSet(tuple(range(b_min, args.bmax + 1)))
         else:
             bset = likelihood.choose_bset(args.i, args.j, model, args.t,
                                           args.eps, rng.child(1))
@@ -395,7 +399,9 @@ def build_parser() -> _Parser:
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--n", type=_positive_int, default=100_000)
+    p.add_argument("--n", type=_positive_int, default=100_000,
+                   help="paths drawn; igbs splits them over the up-jump counts "
+                        "by each count's pilot spread, at least 2 per count")
     p.add_argument("--method", choices=["igbs", "straight", "closed"], default="igbs")
     p.add_argument("--bmax", type=int, default=None,
                    help="fixed upper end of the up-jump set")
@@ -450,7 +456,22 @@ def build_parser() -> _Parser:
     return parser
 
 
+_BOUND_FLAGS = ("--l", "--u")
+
+
+def _join_negative_infinity(argv: list[str]) -> list[str]:
+    """Write ``--l -inf`` as ``--l=-inf``: argparse reads a bare ``-inf`` as a flag."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _BOUND_FLAGS and arg.lower() == "-inf":
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def parse_and_dispatch(argv=None) -> int:
+    argv = _join_negative_infinity(sys.argv[1:] if argv is None else list(argv))
     try:
         args = build_parser().parse_args(argv)
     except UsageError as exc:

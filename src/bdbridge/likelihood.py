@@ -2,9 +2,11 @@
 
 A complete path's likelihood is the product of its jump-direction rates times
 the exponential of minus the integrated total rate.  Dividing by the uniform
-bridge density and averaging over uniform draws gives an unbiased transition
-probability estimate; summing over a finite set of admissible up-jump counts
-(sampled uniformly) extends this to the full transition probability.
+bridge density and averaging over uniform draws gives an unbiased estimate of
+the probability restricted to one up-jump count.  The full transition
+probability is the sum of these over a finite set of admissible counts, each
+count a stratum with its own draws: the pilot runs of ``choose_bset`` set how
+many draws each stratum gets, and the strata's estimates and variances add.
 
 Everything on the hot path runs in log space with max-shifted accumulation so
 probabilities far below float precision (rare events) keep controlled relative
@@ -31,8 +33,13 @@ from .errors import BridgeDomainError, ModelDomainError
 from .models import BirthDeathModel
 from .sampler import RngStream, _draw_padded, _width_classes
 
-# Replicates per block; the block layout sets the random stream.
-BLOCK = 1 << 16
+# Replicates per block, and so the rows of one sampler call; the block layout
+# sets the random stream.
+BLOCK = 1 << 12
+# Share of the draws spread equally over the nonempty strata, whatever the
+# pilots say, and the fewest draws any nonempty stratum gets.
+_FLOOR_SHARE = 1 / 8
+_MIN_STRATUM_DRAWS = 2
 # Pilot up-jump counts tried by choose_bset beyond the minimum feasible one.
 _MAX_PILOT_UP_JUMPS = 512
 
@@ -61,9 +68,15 @@ class MCEstimate:
 
 @dataclass(frozen=True)
 class BSet:
-    """Finite ascending set of admissible up-jump counts."""
+    """Finite ascending set of admissible up-jump counts.
+
+    ``pilot_sd`` optionally holds, per count, the standard deviation of one
+    draw's weight in a pilot run; ``estimate_pij`` gives each count draws in
+    proportion to it.  Without it every count gets an equal share.
+    """
 
     values: tuple[int, ...]
+    pilot_sd: tuple[float, ...] | None = None
 
     def __post_init__(self):
         vals = tuple(int(v) for v in self.values)
@@ -72,6 +85,12 @@ class BSet:
         if any(v < 0 for v in vals) or any(b <= a for a, b in zip(vals, vals[1:])):
             raise BridgeDomainError(f"up-jump set must be ascending and >= 0, got {vals}")
         object.__setattr__(self, "values", vals)
+        if self.pilot_sd is not None:
+            sd = tuple(float(s) for s in self.pilot_sd)
+            if len(sd) != len(vals) or not all(math.isfinite(s) and s >= 0 for s in sd):
+                raise BridgeDomainError(
+                    f"pilot_sd must hold one finite value >= 0 per up-jump count, got {sd}")
+            object.__setattr__(self, "pilot_sd", sd)
 
     def __len__(self):
         return len(self.values)
@@ -128,28 +147,15 @@ def spec_for(model: BirthDeathModel, i: int, j: int, up_jumps: int, t: float) ->
     return BridgeSpec(i=i, j=j, up_jumps=up_jumps, t=t, lower=lower, upper=upper)
 
 
-def _log_weights_block(model, i, j, t, bset: BSet, specs, n_block: int,
+def _log_weights_block(model, spec: BridgeSpec, log_card: float, n_block: int,
                        rng: RngStream) -> np.ndarray:
-    """Per-draw log of (set size) * path likelihood / bridge density."""
-    m = len(bset)
-    choice = rng.gen.integers(0, m, n_block)
-    out = np.full(n_block, NEG_INF)
-    log_m = math.log(m)
-    for pos, up_jumps in enumerate(bset):
-        rows = np.flatnonzero(choice == pos)
-        if rows.size == 0:
-            continue
-        spec, log_card = specs[pos]
-        if spec is None or log_card == NEG_INF:
-            continue  # empty space: weight stays 0 but the draw still counts
-        steps, dtau, _ = _draw_padded(
-            spec.i, spec.j, spec.up_jumps, spec.t, spec.lower, spec.upper,
-            rows.size, rng,
-        )
-        ll = batch_path_loglik(model, spec.i, steps, dtau)
-        log_h = log_simplex_density(spec.jumps, spec.t) - log_card
-        out[rows] = ll - log_h + log_m
-    return out
+    """Per-draw log of path likelihood / bridge density for one up-jump count."""
+    steps, dtau, _ = _draw_padded(
+        spec.i, spec.j, spec.up_jumps, spec.t, spec.lower, spec.upper,
+        n_block, rng,
+    )
+    ll = batch_path_loglik(model, spec.i, steps, dtau)
+    return ll - (log_simplex_density(spec.jumps, spec.t) - log_card)
 
 
 def _block_stats(logw: np.ndarray):
@@ -180,28 +186,70 @@ def _combine_stats(blocks) -> MCEstimate:
 
 
 def _build_specs(model, i, j, t, bset: BSet):
-    """Per up-jump count: (spec, log count), or (None, -inf) for empty spaces."""
+    """Per up-jump count: (spec, log count), or None for an empty space."""
     specs = []
     for up_jumps in bset:
         if up_jumps + i - j < 0:
-            specs.append((None, NEG_INF))
+            specs.append(None)
             continue
         try:
             spec = spec_for(model, i, j, up_jumps, t)
         except BridgeDomainError:
-            specs.append((None, NEG_INF))
+            specs.append(None)
             continue
-        specs.append((spec, log_bridge_count(spec)))
+        log_card = log_bridge_count(spec)
+        specs.append((spec, log_card) if log_card > NEG_INF else None)
     return specs
+
+
+def _allocate(n: int, pilot_sd, live) -> list[int]:
+    """Draws per stratum; a stratum that is not ``live`` (an empty space) gets 0.
+
+    Each live stratum first gets ``_MIN_STRATUM_DRAWS``.  Of the draws left,
+    ``_FLOOR_SHARE`` is spread equally over the live strata and the rest in
+    proportion to ``pilot_sd`` (equally when it is None or all zero), rounded
+    by largest remainder.  The total is ``n``, raised to
+    ``_MIN_STRATUM_DRAWS`` per live stratum when smaller.
+    """
+    k = sum(live)
+    rest = max(n - _MIN_STRATUM_DRAWS * k, 0)
+    sd = [s if ok else 0.0 for s, ok in zip(pilot_sd or [1.0] * len(live), live)]
+    total = math.fsum(sd)
+    if not (total > 0 and math.isfinite(total)):
+        sd, total = [float(ok) for ok in live], float(k)
+    target = [rest * ((_FLOOR_SHARE / k if ok else 0.0) + (1.0 - _FLOOR_SHARE) * s / total)
+              for s, ok in zip(sd, live)]
+    counts = [math.floor(x) for x in target]
+    by_remainder = sorted((p for p, ok in enumerate(live) if ok),
+                          key=lambda p: counts[p] - target[p])
+    for p in by_remainder[:rest - sum(counts)]:
+        counts[p] += 1
+    return [c + _MIN_STRATUM_DRAWS if ok else 0 for c, ok in zip(counts, live)]
+
+
+def _sum_strata(parts: list[MCEstimate]) -> MCEstimate:
+    """The sum of independent stratum estimates; their variances add."""
+    n = sum(p.n for p in parts)
+    top = max(p.log_value for p in parts)
+    if top == NEG_INF:
+        return MCEstimate(0.0, 0.0, n, NEG_INF)
+    log_value = top + math.log(math.fsum(math.exp(p.log_value - top) for p in parts))
+    value = math.exp(log_value) if log_value > -745 else 0.0
+    return MCEstimate(value, math.hypot(*(p.std_error for p in parts)), n, log_value)
 
 
 def estimate_pij(model: BirthDeathModel, i: int, j: int, t: float, bset,
                  n: int, rng: RngStream, threads: int = 1) -> MCEstimate:
     """Transition probability estimate over a finite set of up-jump counts.
 
-    Draws the up-jump count uniformly from ``bset`` per replicate; empty
-    bridge spaces contribute exact zeros but still count toward the set size,
-    keeping the estimator unbiased as designed.  Fixed ``(seed, stream)``
+    Stratified over the counts in ``bset``: each count with a nonempty bridge
+    space gets its own draws and the estimate is the sum of the per-count
+    means, with standard error sqrt(sum of s_B^2 / n_B).  The ``n`` draws are
+    split before any is made: 1/8 equally over the nonempty counts, the rest
+    in proportion to ``bset.pilot_sd`` (equally without it), and at least 2
+    per nonempty count, so ``n`` is raised to twice their number when smaller.
+    Empty spaces are exact zeros and get no draws.  Count ``B``'s block ``k``
+    draws from ``rng.child(_TAG_ESTIMATE, B, k)``, so fixed ``(seed, stream)``
     give bit-identical results for any ``threads``.
     """
     if n < 1:
@@ -217,26 +265,29 @@ def estimate_pij(model: BirthDeathModel, i: int, j: int, t: float, bset,
     if not model.contains(j):
         return MCEstimate(0.0, 0.0, n, NEG_INF)
     specs = _build_specs(model, i, j, t, bset)
-    if all(lc == NEG_INF for _, lc in specs):
+    live = [s is not None for s in specs]
+    if not any(live):
         return MCEstimate(0.0, 0.0, n, NEG_INF)
 
-    sizes = [BLOCK] * (n // BLOCK)
-    if n % BLOCK:
-        sizes.append(n % BLOCK)
+    counts = _allocate(n, bset.pilot_sd, live)
+    jobs = [(pos, block, min(BLOCK, draws - start)) for pos, draws in enumerate(counts)
+            for block, start in enumerate(range(0, draws, BLOCK))]
 
-    def run_block(args):
-        idx, sz = args
-        logw = _log_weights_block(model, i, j, t, bset, specs,
-                                  sz, rng.child(_TAG_ESTIMATE, idx))
+    def run_block(job):
+        pos, block, size = job
+        spec, log_card = specs[pos]
+        logw = _log_weights_block(model, spec, log_card, size,
+                                  rng.child(_TAG_ESTIMATE, spec.up_jumps, block))
         return _block_stats(logw)
 
-    jobs = list(enumerate(sizes))
     if threads > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             blocks = list(pool.map(run_block, jobs))
     else:
         blocks = [run_block(job) for job in jobs]
-    return _combine_stats(blocks)
+    strata = [_combine_stats([b for (p, _, _), b in zip(jobs, blocks) if p == pos])
+              for pos, ok in enumerate(live) if ok]
+    return _sum_strata(strata)
 
 
 def estimate_pij_b(model: BirthDeathModel, i: int, j: int, t: float,
@@ -256,17 +307,21 @@ def choose_bset(i: int, j: int, model: BirthDeathModel, t: float, eps: float,
     upward; growth stops once the last three increments each fall below
     ``eps`` times the running total.  Counts whose pilot estimate is exactly
     zero (infeasible or zero-likelihood spaces) are stripped from the tail.
+    Each kept count's pilot standard deviation per draw goes on the returned
+    set as ``pilot_sd``, from which ``estimate_pij`` allocates its draws.
     Deterministic given the stream.
     """
     if not 0 < eps < 1:
         raise ValueError(f"eps must be in (0, 1), got {eps}")
     b_min = max(0, j - i)
     increments: list[float] = []
+    sds: list[float] = []
     total = 0.0
     b = b_min
     while b - b_min < _MAX_PILOT_UP_JUMPS:
         est = estimate_pij_b(model, i, j, t, b, pilot_n, rng.child(_TAG_PILOT, b))
         increments.append(est.value)
+        sds.append(est.std_error * math.sqrt(est.n))
         total += est.value
         tail = increments[-3:]
         if len(increments) >= 3 and total > 0 and all(v < eps * total for v in tail):
@@ -276,4 +331,5 @@ def choose_bset(i: int, j: int, model: BirthDeathModel, t: float, eps: float,
         return BSet((b_min,))
     while len(increments) > 1 and increments[-1] == 0.0:
         increments.pop()
-    return BSet(tuple(range(b_min, b_min + len(increments))))
+    kept = len(increments)
+    return BSet(tuple(range(b_min, b_min + kept)), pilot_sd=tuple(sds[:kept]))

@@ -263,6 +263,26 @@ def test_malformed_bounds_are_usage_errors(capsys, argv, flag, value):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("count", "--i", "1", "--j", "1", "--B", "2"), "--l"),
+    (("count", "--i", "1", "--j", "1", "--B", "2"), "--u"),
+    (("sample", "--i", "1", "--j", "1", "--B", "2", "--seed", "3"), "--l"),
+])
+def test_negative_infinite_bound_spellings(capsys, argv, flag):
+    spaced = run_cli(capsys, *argv, flag, "-inf")
+    joined = run_cli(capsys, *argv, f"{flag}=-inf")
+    assert spaced == joined
+    assert spaced[0] != 1 and "usage error" not in spaced[2]
+
+
+def test_bmax_below_minimum_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "transprob", "--model", "sis",
+                             "--params", "n0=30,beta=0.003,gamma=1",
+                             "--i", "3", "--j", "8", "--t", "1", "--bmax", "2")
+    assert code == 1 and "usage error" in err and "--bmax" in err
+    assert out == ""
+
+
 def test_scan_failure_csv(capsys, tmp_path):
     data = tmp_path / "obs.csv"
     data.write_text("time,S\n0,60\n1,60\n2,59\n3,58\n")

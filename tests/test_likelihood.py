@@ -1,20 +1,28 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
 
+from bdbridge import likelihood
 from bdbridge.counting import NEG_INF
 from bdbridge.errors import BridgeDomainError, ModelDomainError
 from bdbridge.likelihood import (
+    BLOCK,
     BSet,
     MCEstimate,
+    _allocate,
     batch_path_loglik,
     choose_bset,
     estimate_pij,
     estimate_pij_b,
 )
-from bdbridge.models import LBDIParams, SIRParams, lbdi_model, sir_as_bd
-from bdbridge.reference import generator_transition_fixed_ups, lbdi_transition
+from bdbridge.models import LBDIParams, SIRParams, SISParams, lbdi_model, sir_as_bd, sis_model
+from bdbridge.reference import (
+    generator_transition,
+    generator_transition_fixed_ups,
+    lbdi_transition,
+)
 from bdbridge.sampler import BridgePath, RngStream
 
 
@@ -26,6 +34,10 @@ def test_bset_validation():
     with pytest.raises(BridgeDomainError):
         BSet((-1, 0))
     assert list(BSet((0, 1, 5))) == [0, 1, 5]
+    assert BSet((0, 1), pilot_sd=(2, 0.5)).pilot_sd == (2.0, 0.5)
+    for bad in ((1.0,), (1.0, -0.1), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(BridgeDomainError, match="pilot_sd"):
+            BSet((0, 1), pilot_sd=bad)
 
 
 def _batch_one(model, path) -> float:
@@ -181,3 +193,92 @@ def test_sir_transition_via_bridges(rng):
         est = estimate_pij_b(model, 3, j, 1.0, ups, 40_000, rng)
         oracle = generator_transition_fixed_ups(model, 3, j, 1.0, ups)
         assert abs(est.value - oracle) <= 3.5 * est.std_error, (j, ups)
+
+
+# Rare-event termination on SIS; the benchmark's transprob workload runs it.
+RARE_SIS = sis_model(SISParams(n0=30, beta=0.03, gamma=1.0))
+
+
+def test_allocation_split():
+    live = [False, True, True, True, False, True]
+    pilot_sd = (0.0, 5.0, 1e-3, 0.0, 7.0, 2.0)
+    k = sum(live)
+    for n in (1, 7, 8, 9, 1000, 12_345, 1 << 18):
+        counts = _allocate(n, pilot_sd, live)
+        assert counts == _allocate(n, pilot_sd, live)
+        assert sum(counts) == max(n, 2 * k)
+        for c, ok in zip(counts, live):
+            assert c == 0 if not ok else c >= max(2, n // (8 * k))
+    counts = _allocate(1 << 18, pilot_sd, live)
+    assert counts[1] > counts[5] > counts[2] >= counts[3]
+    # Without pilot information, or with only exact pilots, the split is equal.
+    assert _allocate(1000, None, [True] * 4) == [250] * 4
+    assert _allocate(1000, (0.0, 0.0, 3.0), [True, True, False]) == [500, 500, 0]
+
+
+def test_estimate_raises_n_to_two_per_stratum(sis_table_model):
+    est = estimate_pij(sis_table_model, 5, 3, 1.0, BSet(range(0, 6)), 3, RngStream(4))
+    assert est.n == 12 and est.value > 0 and est.std_error > 0
+
+
+def test_choose_bset_keeps_pilot_sd(sis_table_model):
+    bset = choose_bset(5, 7, sis_table_model, 1.0, 1e-4, RngStream(78))
+    assert bset.pilot_sd is not None and len(bset.pilot_sd) == len(bset)
+    assert all(sd > 0 for sd in bset.pilot_sd)
+
+
+def test_stratified_z_calibration():
+    # Pilot-driven sets, each estimate against the exact generator value.
+    exact = generator_transition(RARE_SIS, 10, 0, 1.0, n_states=30)
+    zs = []
+    for seed in range(120):
+        bset = choose_bset(10, 0, RARE_SIS, 1.0, 1e-4, RngStream(seed, (1,)), pilot_n=512)
+        est = estimate_pij(RARE_SIS, 10, 0, 1.0, bset, 8192, RngStream(seed, (2,)))
+        zs.append((est.value - exact) / est.std_error)
+    assert sum(abs(z) <= 3.0 for z in zs) >= 0.97 * len(zs)
+    assert abs(statistics.fmean(zs)) <= 0.3
+
+
+def test_wrong_pilot_sd_stays_unbiased():
+    # All pilot weight on the last count: the others get only the floor.
+    exact = generator_transition(RARE_SIS, 10, 0, 1.0, n_states=30)
+    bset = choose_bset(10, 0, RARE_SIS, 1.0, 1e-4, RngStream(5))
+    wrong = BSet(bset.values, pilot_sd=(0.0,) * (len(bset) - 1) + (1.0,))
+    assert _allocate(4096, wrong.pilot_sd, [True] * len(bset))[0] < 4096 // len(bset)
+    ests = [estimate_pij(RARE_SIS, 10, 0, 1.0, wrong, 4096, RngStream(seed, (3,)))
+            for seed in range(120)]
+    mean = statistics.fmean(e.value for e in ests)
+    se_mean = math.sqrt(sum(e.std_error ** 2 for e in ests)) / len(ests)
+    assert abs(mean - exact) <= 4.0 * se_mean
+
+
+def test_threads_bit_identical_with_pilot_sd(sis_table_model):
+    bset = choose_bset(5, 7, sis_table_model, 1.0, 1e-4, RngStream(78))
+    assert len(set(bset.pilot_sd)) > 1
+    one = estimate_pij(sis_table_model, 5, 7, 1.0, bset, 3 * BLOCK + 5, RngStream(77),
+                       threads=1)
+    four = estimate_pij(sis_table_model, 5, 7, 1.0, bset, 3 * BLOCK + 5, RngStream(77),
+                        threads=4)
+    assert one == four
+
+
+def test_draw_calls_stay_within_block(sis_table_model, monkeypatch):
+    rows = []
+    draw = likelihood._draw_padded
+
+    def spy(i, j, up_jumps, t, lower, upper, size, rng):
+        rows.append(size)
+        return draw(i, j, up_jumps, t, lower, upper, size, rng)
+
+    monkeypatch.setattr(likelihood, "_draw_padded", spy)
+    bset = BSet((2, 3, 4), pilot_sd=(1.0, 0.0, 0.0))
+    est = estimate_pij(sis_table_model, 5, 7, 1.0, bset, 5 * BLOCK + 3, RngStream(5))
+    assert max(rows) <= BLOCK and sum(rows) == est.n == 5 * BLOCK + 3
+
+
+def test_stratum_stream_keyed_by_count(sis_table_model):
+    # Count 2 cannot reach 8 from 5, so it gets no draws; count 3 then draws
+    # exactly what it draws alone, from the stream keyed by its count.
+    alone = estimate_pij_b(sis_table_model, 5, 8, 1.0, 3, 3000, RngStream(12))
+    in_set = estimate_pij(sis_table_model, 5, 8, 1.0, BSet((2, 3)), 3000, RngStream(12))
+    assert in_set == alone and alone.value > 0
