@@ -20,7 +20,6 @@ from .errors import (
     CapacityError,
     DataFormatError,
     ModelDomainError,
-    RejectionCapExceeded,
     UnsupportedCaseError,
     ZeroMeasureSpace,
 )

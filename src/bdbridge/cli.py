@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedCaseError,
     ZeroMeasureSpace,
 )
-from .sampler import RngStream, sample_bridge
+from .sampler import RngStream, _bridge_paths
 
 DEFAULT_SEED = 20240817
 SEED_ENV_VAR = "BDBRIDGE_SEED"
@@ -231,12 +231,10 @@ def _cmd_count(args):
 def _cmd_sample(args):
     spec = BridgeSpec(i=args.i, j=args.j, up_jumps=args.B, t=args.t,
                       lower=args.l, upper=args.u)
-    rng = RngStream(args.seed)
-    rows = []
-    for rep in range(args.n):
-        path = sample_bridge(spec, rng)
-        for k in range(len(path.times)):
-            rows.append((rep, k, float(path.times[k]), int(path.states[k])))
+    times, states = _bridge_paths(spec, args.n, RngStream(args.seed))
+    rows = [(rep, k, tau, omega)
+            for rep, (row_t, row_s) in enumerate(zip(times.tolist(), states.tolist()))
+            for k, (tau, omega) in enumerate(zip(row_t, row_s))]
     _write_csv(args.output, ["replicate_id", "k", "tau_k", "omega_k"], rows)
     return 0
 
@@ -347,6 +345,8 @@ def _cmd_fit(args):
     _emit(args, _dump_json({
         "beta_hat": fit.beta_hat, "gamma_hat": fit.gamma_hat,
         "ci_beta": list(fit.ci_beta), "ci_gamma": list(fit.ci_gamma),
+        "ci_beta_at_edge": list(fit.ci_beta_at_edge),
+        "ci_gamma_at_edge": list(fit.ci_gamma_at_edge),
         "r0": fit.r0, "loglik_max": fit.loglik_max,
         "boundary_warning": fit.boundary_warning,
         "ci_method": "profile likelihood, chi-square(1) 95% drop of 1.92",

@@ -14,7 +14,8 @@ its final jump.  That count reduces to a strict-interior bridge one step
 shorter, with the forced final jump appended.
 
 Counts are exact integers, and ``log_bridge_count`` is their log.  The
-skeleton sampler unranks a uniform index through the same counts.
+skeleton sampler (``sampler._draw_padded``) needs the same numbers for every
+prefix of a path, so it builds them by the one-step recursion in log space.
 """
 
 from __future__ import annotations

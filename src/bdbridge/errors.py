@@ -20,24 +20,6 @@ class CapacityError(OverflowError):
     """Exact integer counting was requested beyond the configured jump limit."""
 
 
-class RejectionCapExceeded(RuntimeError):
-    """The batch skeleton shuffle hit its round cap.
-
-    Carries ``tries`` and ``accepted`` so the observed acceptance rate can be
-    reported instead of silently biasing or hanging.
-    """
-
-    def __init__(self, tries: int, accepted: int, cap: int):
-        self.tries = tries
-        self.accepted = accepted
-        self.cap = cap
-        rate = accepted / tries if tries else 0.0
-        super().__init__(
-            f"rejection sampler exceeded {cap} tries "
-            f"(accepted {accepted}/{tries}, acceptance rate {rate:.3g})"
-        )
-
-
 class DataFormatError(ValueError):
     """An input data file failed validation; the message names the offending row."""
 

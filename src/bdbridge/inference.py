@@ -72,6 +72,10 @@ class FitResult:
     loglik_max: float
     boundary_warning: bool
     surface: SurfaceResult = field(repr=False)
+    # Per interval end (lo, hi): True when the profile stays within the
+    # cutoff out to the grid edge, so that end is the edge, not an estimate.
+    ci_beta_at_edge: tuple[bool, bool]
+    ci_gamma_at_edge: tuple[bool, bool]
 
 
 def _cell(job) -> tuple[float, float]:
@@ -125,28 +129,33 @@ def loglik_surface(obs: Observations, beta_grid, gamma_grid, m: int,
 
 
 def _profile_interval(grid: np.ndarray, profile: np.ndarray,
-                      drop: float = PROFILE_DROP) -> tuple[float, float]:
-    """{theta : max - profile(theta) <= drop}, linearly interpolated at the ends."""
+                      drop: float = PROFILE_DROP) -> tuple[float, float, bool, bool]:
+    """{theta : max - profile(theta) <= drop}, linearly interpolated at the ends.
+
+    Returns ``(lo, hi, lo_at_edge, hi_at_edge)``.  An end whose side of the
+    profile never drops below the cutoff is the grid edge and is flagged: the
+    interval runs on past the searched range.
+    """
     finite = np.isfinite(profile)
     if not finite.any():
-        return float("nan"), float("nan")
+        return float("nan"), float("nan"), False, False
     k_max = int(np.nanargmax(np.where(finite, profile, -np.inf)))
     cutoff = profile[k_max] - drop
-    lo = grid[0]
+    lo, lo_at_edge = grid[0], True
     for k in range(k_max, 0, -1):
         if not np.isfinite(profile[k - 1]) or profile[k - 1] < cutoff:
             frac = ((profile[k] - cutoff) / (profile[k] - profile[k - 1])
                     if np.isfinite(profile[k - 1]) else 1.0)
-            lo = grid[k] - frac * (grid[k] - grid[k - 1])
+            lo, lo_at_edge = grid[k] - frac * (grid[k] - grid[k - 1]), False
             break
-    hi = grid[-1]
+    hi, hi_at_edge = grid[-1], True
     for k in range(k_max, len(grid) - 1):
         if not np.isfinite(profile[k + 1]) or profile[k + 1] < cutoff:
             frac = ((profile[k] - cutoff) / (profile[k] - profile[k + 1])
                     if np.isfinite(profile[k + 1]) else 1.0)
-            hi = grid[k] + frac * (grid[k + 1] - grid[k])
+            hi, hi_at_edge = grid[k] + frac * (grid[k + 1] - grid[k]), False
             break
-    return float(lo), float(hi)
+    return float(lo), float(hi), lo_at_edge, hi_at_edge
 
 
 def fit_mle(obs: Observations, config: SearchConfig, m: int, rng: RngStream,
@@ -155,7 +164,8 @@ def fit_mle(obs: Observations, config: SearchConfig, m: int, rng: RngStream,
 
     The top-level surface spans the full configured ranges and supplies the
     confidence intervals; each refinement re-grids a window around the running
-    argmax.  An argmax on the outer boundary raises a warning flag.
+    argmax.  An argmax on the outer boundary raises a warning flag, and an
+    interval end that reaches the grid edge is flagged in ``ci_*_at_edge``.
     """
     beta_grid = config.beta.values()
     gamma_grid = config.gamma.values()
@@ -188,15 +198,16 @@ def fit_mle(obs: Observations, config: SearchConfig, m: int, rng: RngStream,
 
     profile_beta = np.max(np.where(np.isfinite(surface0.mean), surface0.mean, -np.inf), axis=1)
     profile_gamma = np.max(np.where(np.isfinite(surface0.mean), surface0.mean, -np.inf), axis=0)
-    ci_beta = _profile_interval(beta_grid, profile_beta)
-    ci_gamma = _profile_interval(gamma_grid, profile_gamma)
-    ci_beta = (min(ci_beta[0], best[0]), max(ci_beta[1], best[0]))
-    ci_gamma = (min(ci_gamma[0], best[1]), max(ci_gamma[1], best[1]))
+    b_lo, b_hi, *beta_at_edge = _profile_interval(beta_grid, profile_beta)
+    g_lo, g_hi, *gamma_at_edge = _profile_interval(gamma_grid, profile_gamma)
+    ci_beta = (min(b_lo, best[0]), max(b_hi, best[0]))
+    ci_gamma = (min(g_lo, best[1]), max(g_hi, best[1]))
 
     n0 = int(obs.susceptibles[0]) + i0
     r0 = basic_reproduction_number(best[0], best[1], n0)
     return FitResult(best[0], best[1], ci_beta, ci_gamma, r0, best[2],
-                     boundary_warning, surface0)
+                     boundary_warning, surface0, tuple(beta_at_edge),
+                     tuple(gamma_at_edge))
 
 
 def basic_reproduction_number(beta: float, gamma: float, n0: int) -> float:

@@ -2,22 +2,21 @@
 
 A bridge path factors into two independent uniform draws: sorted i.i.d.
 uniform jump times, and a uniformly chosen admissible skeleton.
-``sample_skeleton`` unranks a uniform index through the exact skeleton
-counts, so it never rejects, however narrow the corridor.
 
-``_draw_padded`` is the vectorized core used by the estimators: rows may have
-different endpoints and step counts, and each row's step multiset is shuffled
-until it avoids the taboo bounds.  It returns matrices as wide as the
-longest row, with zero steps and zero-length holding intervals past each
-row's end, so downstream likelihood sums are unaffected.  Inside, rows are
-grouped by their own length into power-of-two width classes (small classes
-join the next wider one), and each class is shuffled, checked and
-time-sorted only up to its own width;
+``_draw_padded`` is the one sampler of both.  Rows may have different
+endpoints and step counts.  Each row's skeleton is drawn step by step with
+the down-step probability that the exact log counts of its completions give,
+the counting-driven recursive method of uniform generation (Nijenhuis & Wilf,
+*Combinatorial Algorithms*, 1978), so it never rejects, however narrow the
+corridor.  It returns matrices as wide as the longest row, with zero steps
+and zero-length holding intervals past each row's end, so downstream
+likelihood sums are unaffected.  The time draw groups rows by their own
+length into power-of-two width classes (small classes join the next wider
+one) and sorts each class only up to its own width;
 ``likelihood.batch_path_loglik`` weighs rows in the same classes.  The
-classes do not touch the random stream: the key and time matrices are drawn
-at full width, in the same calls and order as for one padded block, and a
-row's path depends only on its own numbers, so a seed gives the same paths
-whatever the mix of row lengths.
+classes do not touch the random stream, so a seed gives the same paths
+whatever the mix of row lengths.  ``sample_skeleton`` and ``sample_bridge``
+are one-row calls of it.
 """
 
 from __future__ import annotations
@@ -26,10 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import NEG_INF, BridgeSpec, _count_cached, _reduced, bridge_count
-from .errors import BridgeDomainError, RejectionCapExceeded, ZeroMeasureSpace
+from .counting import NEG_INF, BridgeSpec
+from .errors import BridgeDomainError, ZeroMeasureSpace
 
-_BATCH_MAX_ROUNDS = 10_000
 #: Width classes smaller than this many cells join the next wider class: a
 #: class costs a fixed number of NumPy calls, worth more than the padding
 #: cells a small class saves.
@@ -136,56 +134,33 @@ def sample_times(jumps: int, t: float, rng: RngStream) -> np.ndarray:
             return u
 
 
-def _uniform_index(card: int, gen: np.random.Generator) -> int:
-    """A uniform integer in [0, card), exact also for card >= 2**63."""
-    if card < 1 << 63:
-        return int(gen.integers(card))
-    bits = card.bit_length()
-    nbytes = (bits + 7) // 8
-    while True:
-        idx = int.from_bytes(gen.bytes(nbytes), "little") >> (8 * nbytes - bits)
-        if idx < card:
-            return idx
+def _bridge_paths(spec: BridgeSpec, size: int, rng: RngStream):
+    """``size`` uniform bridge paths of one spec from one batch-core call.
+
+    Returns ``(times, states)``, each of shape (size, K + 2), laid out as in
+    :class:`BridgePath`.  Raises :class:`ZeroMeasureSpace` for an empty space.
+    """
+    steps, dtau, _ = _draw_padded(spec.i, spec.j, spec.up_jumps, spec.t, spec.lower,
+                                  spec.upper, size, rng)
+    times = np.cumsum(np.pad(dtau, ((0, 0), (1, 0))), axis=1)
+    times[:, -1] = spec.t
+    states = spec.i + np.cumsum(np.pad(steps, ((0, 0), (1, 1))), axis=1, dtype=np.int64)
+    return times, states
 
 
 def sample_skeleton(spec: BridgeSpec, rng: RngStream) -> np.ndarray:
     """One uniform draw from the admissible skeletons, as states omega_0..omega_K.
 
-    Skeletons are ranked in the order of :func:`counting.enumerate_bridges`,
-    down steps before up steps.  A uniform rank below ``bridge_count(spec)``
-    is unranked through the exact count of the strict-interior sub-bridges
-    left after each step, so the draw takes one random index, never rejects,
-    and costs K cached counts.
+    A one-row call of the batch core (which also draws the row's jump times).
+    Raises :class:`ZeroMeasureSpace` when the space is empty.
     """
-    card = bridge_count(spec)
-    if card == 0:
-        raise ZeroMeasureSpace(f"no skeletons for {spec}")
-    idx = _uniform_index(card, rng.gen)
-    jumps, ups, state, j = _reduced(spec)
-    out = [state]
-    for rest in range(jumps - 1, -1, -1):
-        # Sub-bridges after a down step.  From a state on a bound the
-        # reflection series cancels to 0, so that step is never taken.
-        down = _count_cached(rest, ups, state - 1, j, spec.lower, spec.upper)
-        if idx < down:
-            state -= 1
-        else:
-            idx -= down
-            state += 1
-            ups -= 1
-        out.append(state)
-    if spec.ends_at_lower or spec.ends_at_upper:
-        out.append(spec.j)
-    return np.asarray(out, dtype=np.int64)
+    return _bridge_paths(spec, 1, rng)[1][0, :-1]
 
 
 def sample_bridge(spec: BridgeSpec, rng: RngStream) -> BridgePath:
-    """Assemble one uniform bridge path: independent time and skeleton draws."""
-    mid = sample_times(spec.jumps, spec.t, rng)
-    skeleton = sample_skeleton(spec, rng)
-    times = np.concatenate([[0.0], mid, [spec.t]])
-    states = np.concatenate([skeleton, [spec.j]])
-    return BridgePath(times, states)
+    """One uniform bridge path: a one-row call of the batch core."""
+    times, states = _bridge_paths(spec, 1, rng)
+    return BridgePath(times[0], states[0])
 
 
 def _width_classes(lengths: np.ndarray, cap: int):
@@ -217,87 +192,91 @@ def _width_classes(lengths: np.ndarray, cap: int):
         yield width, np.flatnonzero((code > low) & (code <= high))
 
 
+def _log_walk_counts(ends: np.ndarray, steps: int, ups: int, lower: float,
+                     upper: float) -> np.ndarray:
+    """log T[k, r, u]: the number of r-step walks with u up steps that end at
+    ``ends[k]`` and keep every state, the first included, strictly inside
+    (lower, upper); -inf where there is none.
+
+    Such a walk starts at ``ends[k] + r - 2u``, so the table spans only the
+    states that the up budget can reach.  Its first step is down with
+    probability T[k, r - 1, u] / T[k, r, u].  Log space keeps long rows, whose
+    counts overflow a float, exact to rounding.
+    """
+    r = np.arange(steps + 1)[:, None]
+    state = ends[:, None, None] + r - 2 * np.arange(ups + 1)
+    log_t = np.where((state > lower) & (state < upper), 0.0, NEG_INF)
+    log_t[:, 0, 1:] = NEG_INF
+    for k in range(1, steps + 1):
+        prev = log_t[:, k - 1]
+        log_t[:, k, 0] += prev[:, 0]
+        log_t[:, k, 1:] += np.logaddexp(prev[:, 1:], prev[:, :-1])
+    return log_t
+
+
 def _draw_padded(i, j, up_jumps: int, t: float, lower, upper, size: int,
                  rng: RngStream):
     """Vectorized uniform draws for ``size`` bridges sharing ``up_jumps`` and ``t``.
 
-    ``i``, ``j`` and ``upper`` may vary per row; ``lower`` is shared.  Rows
-    whose end state sits on a finite bound get their forced terminal step
-    appended after the strict-interior shuffle.  Returns ``(steps, dtau,
-    jumps)`` as matrices as wide as the longest row: padding steps are 0 and
-    padding holding intervals have zero length, so likelihood sums ignore
-    them.
+    ``i`` and ``j`` may vary per row; ``lower`` and ``upper`` are shared.
+    Returns ``(steps, dtau, jumps)`` as matrices as wide as the longest row:
+    padding steps are 0 and padding holding intervals have zero length, so
+    likelihood sums ignore them.  Raises :class:`ZeroMeasureSpace`, before
+    any draw, when a row's bridge space is empty.
 
-    The work runs on width classes (see ``_width_classes``): each class is
-    shuffled, bound-checked, time-sorted and differenced only up to its own
-    width.  The random stream does not depend on the classes.  Every
-    rejection round draws one key matrix of shape (pending rows, longest
-    core), and every time draw one matrix of shape (rows, most jumps), in the
-    same order whatever the mix of lengths; a row's skeleton is set by the
-    ranks of its own keys and its times by its own uniforms.
-
-    Callers must pre-filter empty bridge spaces; this routine only rejects on
-    bound violations and will loop on impossible rows until the round cap.
+    A row's core runs strictly inside the corridor; a row whose end state
+    sits on a finite bound gets its forced terminal step appended after it.
+    The core is drawn column by column from the exact counts of its
+    completions (see ``_log_walk_counts``), one table per distinct core end,
+    so it never rejects.  The stream use is fixed: one uniform matrix of
+    shape (rows, longest core), where row r steps down at column c iff its
+    uniform is below the down-step probability, then one time matrix of
+    shape (rows, most jumps), redrawn whole on a tie.  The time draw runs on
+    width classes (see ``_width_classes``), each sorted and differenced only
+    up to its own width; a row's times depend only on its own uniforms.
     """
     i = np.broadcast_to(np.asarray(i, np.int64), (size,))
     j = np.broadcast_to(np.asarray(j, np.int64), (size,))
-    upper_arr = np.broadcast_to(np.asarray(upper, float), (size,))
-    lower = float(lower)
+    lower, upper = float(lower), float(upper)
 
-    ends_low = (j == lower) if lower != NEG_INF else np.zeros(size, bool)
-    ends_up = np.isfinite(upper_arr) & (j == upper_arr)
+    ends_low = j == lower
+    ends_up = j == upper
     jumps = 2 * up_jumps + i - j
-    if np.any(jumps < 0):
-        raise BridgeDomainError("infeasible up-jump budget in batch draw")
     length = jumps - ends_low - ends_up
-    ups = np.where(ends_up, up_jumps - 1, up_jumps)
-    # A core walk is admissible when its running sum of steps stays strictly
-    # between these two, i.e. its states strictly inside (lower, upper).
-    room_low = lower - i
-    room_up = upper_arr - i
+    ups = up_jumps - ends_up
+    ends, end_row = np.unique(j + ends_low - ends_up, return_inverse=True)
+    len_max = max(int(length.max()), 0) if size else 0
+    log_t = _log_walk_counts(ends, len_max, up_jumps, lower, upper)
+    # A negative core length or up count only arises from an infeasible
+    # budget or a start state outside the corridor.
+    start = log_t[end_row, np.maximum(length, 0), np.maximum(ups, 0)]
+    empty = (length < 0) | (ups < 0) | (start == NEG_INF)
+    if np.any(empty):
+        r = int(np.argmax(empty))
+        raise ZeroMeasureSpace(f"no bridge from {i[r]} to {j[r]} with {up_jumps} up "
+                               f"jumps inside ({lower}, {upper}) (row {r})")
 
-    len_max = int(length.max()) if size else 0
     jumps_max = int(jumps.max()) if size else 0
     cols = np.arange(jumps_max)
+    keys = rng.gen.random((size, len_max))
+    # Rows walk longest first, so the rows still walking at column c are a
+    # prefix.  ``at`` indexes P(down) at each row's end, steps and ups left.
+    stride = up_jumps + 1
+    with np.errstate(invalid="ignore"):
+        p_down = np.exp(log_t[:, :-1] - log_t[:, 1:]).ravel()
+    order = np.argsort(-length, kind="stable")
+    live = size - np.searchsorted(length[order][::-1], cols[:len_max], side="right")
+    at = (end_row[order] * len_max + length[order] - 1) * stride + ups[order]
+    keys = keys.T[:, order]
+    up = np.zeros((len_max, size), np.int8)
+    for c in range(len_max):
+        n = live[c]
+        went_up = keys[c, :n] >= p_down[at[:n]]
+        up[c, :n] = went_up
+        at[:n] -= went_up
+        at[:n] -= stride
     steps = np.zeros((size, jumps_max), np.int8)
-    pending = np.arange(size)
-    tries = 0
-    accepted = 0
-    for _ in range(_BATCH_MAX_ROUNDS):
-        if pending.size == 0:
-            break
-        keys = rng.gen.random((pending.size, len_max))
-        ok = np.ones(pending.size, bool)
-        for width, sel in _width_classes(length[pending], len_max):
-            if width == 0:
-                continue
-            rows = pending[sel]
-            n_len, n_up = length[rows], ups[rows]
-            k = keys[sel, :width]
-            pad = cols[:width] >= n_len[:, None] if n_len.min() < width else None
-            if pad is not None:
-                k[pad] = 2.0  # padding sorts last
-            # The n_up smallest keys of a row carry its up steps, the rest of
-            # its core the down steps: the key ranks are a uniform shuffle.
-            thr = np.sort(k, axis=1)[np.arange(len(rows)), np.maximum(n_up - 1, 0)]
-            thr[n_up == 0] = -1.0
-            x = (k <= thr[:, None]).view(np.int8)
-            x = x + x - 1
-            if pad is not None:
-                x[pad] = 0
-            # Padding repeats the last core state, so it never moves the
-            # extremes of an admissible walk.  A key tied with the threshold
-            # adds an up step; the end check rejects that row (measure zero).
-            walk = np.cumsum(x, axis=1, dtype=np.int8 if width < 128 else np.int32)
-            good = ((walk.min(axis=1) > room_low[rows]) & (walk.max(axis=1) < room_up[rows])
-                    & (walk[:, -1] == 2 * n_up - n_len))
-            steps[rows[good], :width] = x[good]
-            ok[sel] = good
-        tries += pending.size
-        accepted += int(ok.sum())
-        pending = pending[~ok]
-    if pending.size:
-        raise RejectionCapExceeded(tries, accepted, _BATCH_MAX_ROUNDS)
+    steps[order, :len_max] = 2 * up.T - (cols[:len_max] < length[order, None])
 
     rows_low = np.flatnonzero(ends_low)
     steps[rows_low, length[rows_low]] = -1

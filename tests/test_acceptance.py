@@ -21,7 +21,7 @@ from bdbridge.inference import GridSpec, SearchConfig, fit_mle
 from bdbridge.likelihood import BSet, choose_bset, estimate_pij, estimate_pij_b
 from bdbridge.models import LBDIParams, SIRParams, SISParams, lbdi_model, sis_model
 from bdbridge.reference import lbdi_transition, straight_estimate
-from bdbridge.sampler import RngStream, _draw_padded, sample_skeleton, sample_times
+from bdbridge.sampler import RngStream, _draw_padded, sample_times
 
 TABLE5_CI_BETA = (0.0011, 0.0024)
 TABLE5_CI_GAMMA = (0.1624, 0.4032)
@@ -234,8 +234,10 @@ def test_criterion_8_sampler_statistics(uniformity_family):
     for spec in specs:
         card = bridge_count(spec)
         paths = [tuple(p) for p in enumerate_bridges(spec, max_jumps=None)]
-        draws = 1000 * card
-        got = Counter(tuple(sample_skeleton(spec, rng)) for _ in range(draws))
+        steps, _, _ = _draw_padded(spec.i, spec.j, spec.up_jumps, spec.t, spec.lower,
+                                   spec.upper, 1000 * card, rng)
+        skeletons = spec.i + np.cumsum(steps, axis=1)
+        got = Counter((spec.i,) + tuple(row) for row in skeletons.tolist())
         assert set(got) <= set(paths)
         pval = stats.chisquare([got.get(p, 0) for p in paths]).pvalue
         assert pval > 0.001, (spec, pval)

@@ -312,6 +312,12 @@ def test_fit_small_grid(capsys, tmp_path):
     payload = json.loads(out)
     assert 0.001 <= payload["beta_hat"] <= 0.003
     assert payload["ci_beta"][0] <= payload["beta_hat"] <= payload["ci_beta"][1]
+    # An interval end flagged as on the grid edge is that edge.
+    for name, edges in (("beta", (0.001, 0.003)), ("gamma", (0.15, 0.4))):
+        flags = payload[f"ci_{name}_at_edge"]
+        assert len(flags) == 2 and all(isinstance(f, bool) for f in flags)
+        for end, edge, flag in zip(payload[f"ci_{name}"], edges, flags):
+            assert not flag or end == edge, (name, end, edge)
     lines = surface.read_text().strip().splitlines()
     assert lines[0] == "beta,gamma,loglik,loglik_sd"
     assert len(lines) == 10

@@ -60,7 +60,7 @@ def test_fit_worker_count_invariant():
     one = fit_mle(obs, config, 500, RngStream(31))
     two = fit_mle(obs, dataclasses.replace(config, threads=2), 500, RngStream(31))
     for name in ("beta_hat", "gamma_hat", "ci_beta", "ci_gamma", "r0",
-                 "loglik_max", "boundary_warning"):
+                 "loglik_max", "boundary_warning", "ci_beta_at_edge", "ci_gamma_at_edge"):
         assert getattr(one, name) == getattr(two, name), name
     assert np.array_equal(one.surface.mean, two.surface.mean)
     assert np.array_equal(one.surface.spread, two.surface.spread)
@@ -87,7 +87,8 @@ def test_nonpositive_threads_rejected(threads):
 def test_profile_interval_interpolation():
     grid = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
     profile = np.array([-10.0, -1.0, 0.0, -1.0, -10.0])
-    lo, hi = _profile_interval(grid, profile, drop=1.92)
+    lo, hi, lo_at_edge, hi_at_edge = _profile_interval(grid, profile, drop=1.92)
+    assert not lo_at_edge and not hi_at_edge
     # crossing interpolated between the -1 and -10 points
     assert 1.0 - (1.92 - 1.0) / 9.0 == pytest.approx(lo)
     assert 3.0 + (1.92 - 1.0) / 9.0 == pytest.approx(hi)
@@ -97,9 +98,20 @@ def test_profile_interval_interpolation():
 def test_profile_cutoff_monotone():
     grid = np.linspace(0, 4, 9)
     profile = -((grid - 2.0) ** 2)
-    lo1, hi1 = _profile_interval(grid, profile, drop=1.92)
-    lo2, hi2 = _profile_interval(grid, profile, drop=3.0)
+    lo1, hi1, *_ = _profile_interval(grid, profile, drop=1.92)
+    lo2, hi2, *_ = _profile_interval(grid, profile, drop=3.0)
     assert lo2 <= lo1 and hi2 >= hi1
+
+
+def test_profile_interval_flags_grid_edge():
+    # A profile rising to the top of the grid never drops by 1.92 on that
+    # side: the upper end is the grid edge and is flagged, the lower end is
+    # an interpolated crossing.  Mirrored, the flags swap.
+    grid = np.linspace(0.0, 4.0, 9)
+    profile = 2.0 * grid
+    assert _profile_interval(grid, profile) == pytest.approx((4.0 - 1.92 / 2.0, 4.0, False, True))
+    assert _profile_interval(grid, profile[::-1]) == pytest.approx((0.0, 1.92 / 2.0, True, False))
+    assert _profile_interval(grid, np.zeros(9))[2:] == (True, True)
 
 
 def test_r0_formula_and_rescaling():
@@ -162,7 +174,11 @@ def test_fit_recovers_synthetic_truth_coverage():
 
 def test_fit_argmax_stable_across_seeds():
     # Scaled-down stability check on the outbreak record: independently seeded
-    # refits should land within one coarse grid cell of each other.
+    # refits should land within two coarse grid cells of each other.  Over 12
+    # fresh seed triples (base seeds 1403, 1406, ..., 1436), one cell held in
+    # 7 of 12 with the shuffle-and-reject sampler and in 8 of 12 with the
+    # count-driven walk; two cells held in all 24, the largest spread being
+    # 1.88 cells.  The seeds below spread 1.88 beta-cells under the walk.
     from bdbridge.cli import load_shigellosis
 
     obs = load_shigellosis()
@@ -174,8 +190,8 @@ def test_fit_argmax_stable_across_seeds():
     gamma_cell = (0.45 - 0.10) / 8
     betas = [f.beta_hat for f in fits]
     gammas = [f.gamma_hat for f in fits]
-    assert max(betas) - min(betas) <= beta_cell + 1e-12, betas
-    assert max(gammas) - min(gammas) <= gamma_cell + 1e-12, gammas
+    assert max(betas) - min(betas) <= 2 * beta_cell + 1e-12, betas
+    assert max(gammas) - min(gammas) <= 2 * gamma_cell + 1e-12, gammas
 
 
 def test_fit_result_invariants():

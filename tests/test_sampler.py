@@ -60,30 +60,15 @@ def test_skeleton_no_jumps(rng):
 
 def test_skeleton_narrow_long_corridor(rng):
     # One admissible path of 120 jumps among C(120, 60) shuffles: the
-    # unranking walk takes it at once, where a shuffle would never hit it.
+    # count-driven walk takes it at once, where a shuffle would never hit it.
     spec = BridgeSpec(i=1, j=1, up_jumps=60, lower=0, upper=3)
     assert bridge_count(spec) == 1
     assert sample_skeleton(spec, rng).tolist() == [1, 2] * 60 + [1]
 
 
-@pytest.mark.parametrize("spec", [
-    BridgeSpec(i=5, j=5, up_jumps=3),
-    BridgeSpec(i=2, j=2, up_jumps=4, lower=0, upper=5),
-    BridgeSpec(i=1, j=1, up_jumps=3, lower=0, upper=3),
-    BridgeSpec(i=3, j=0, up_jumps=3, lower=0, upper=6),
-    BridgeSpec(i=2, j=5, up_jumps=5, lower=-1, upper=5),
-    BridgeSpec(i=4, j=1, up_jumps=2, lower=-2),
-])
-def test_skeleton_unranks_enumeration_order(spec):
-    # A seed's draw is the enumeration's path at the index that seed draws.
-    paths = enumerate_bridges(spec, max_jumps=None)
-    for seed in range(25):
-        idx = RngStream(seed).gen.integers(len(paths))
-        assert sample_skeleton(spec, RngStream(seed)).tolist() == paths[idx], seed
-
-
 def test_skeleton_count_beyond_int64():
-    # C(80, 40) > 2**63 skeletons: the index is drawn as an exact big integer.
+    # C(80, 40) > 2**63 skeletons: the walk's log counts hold where an
+    # integer index would not fit in 64 bits.
     spec = BridgeSpec(i=0, j=0, up_jumps=40)
     assert bridge_count(spec) >= 1 << 63
     rng = RngStream(5)
@@ -103,7 +88,10 @@ def test_skeleton_empty_space_errors(rng):
 
 def _chisquare_uniform(spec, draws, rng):
     paths = [tuple(p) for p in enumerate_bridges(spec, max_jumps=None)]
-    counts = Counter(tuple(sample_skeleton(spec, rng)) for _ in range(draws))
+    steps, _, _ = _draw_padded(spec.i, spec.j, spec.up_jumps, spec.t, spec.lower,
+                               spec.upper, draws, rng)
+    skeletons = spec.i + np.cumsum(steps, axis=1)
+    counts = Counter((spec.i,) + tuple(row) for row in skeletons.tolist())
     assert set(counts) <= set(paths)
     observed = [counts.get(p, 0) for p in paths]
     return stats.chisquare(observed).pvalue
@@ -177,8 +165,7 @@ def test_distinct_streams_differ():
 
 
 def test_batch_draw_matches_scalar_law(rng):
-    # The padded batch core must produce the same uniform skeleton law as the
-    # scalar sampler.
+    # The padded batch core draws the uniform skeleton law of the enumeration.
     spec = BridgeSpec(i=2, j=1, up_jumps=3, lower=0, upper=6, t=1.0)
     card = bridge_count(spec)
     paths = [tuple(p) for p in enumerate_bridges(spec)]
@@ -196,26 +183,74 @@ def test_batch_draw_matches_scalar_law(rng):
 
 def test_batch_draw_uniform_sweep(uniformity_family, rng):
     # The batch core's skeleton law is uniform on every space of the family
-    # and on spaces that end on their upper bound: one draw of 1000 rows per
-    # admissible path, each space against its enumeration.
+    # and on spaces that end on their upper bound, also when rows of
+    # different (i, j) share a call, as the filter draws them.  Spaces that
+    # share an up count and a corridor are drawn in one call, 1000 rows per
+    # admissible path, and each space's rows are tested against its
+    # enumeration.
     upper_ends = [BridgeSpec(i=i, j=width, up_jumps=ups, lower=0, upper=width)
                   for width in range(2, 6) for i in range(1, width)
                   for ups in range(width - i, width - i + 4)]
     specs = uniformity_family + [s for s in upper_ends if 2 <= bridge_count(s) <= 50]
-    p_values = []
+    calls = {}
     for spec in specs:
-        # A skeleton is coded by the bit pattern of its up steps.
-        bits = 1 << np.arange(spec.jumps)
-        paths = np.array([(np.diff(p) > 0) @ bits
-                          for p in enumerate_bridges(spec, max_jumps=None)])
-        steps, _, jumps = _draw_padded(spec.i, spec.j, spec.up_jumps, spec.t, spec.lower,
-                                       spec.upper, 1000 * len(paths), rng)
-        assert np.all(jumps == spec.jumps)
-        observed = ((steps > 0) @ bits == paths[:, None]).sum(axis=1)
-        assert observed.sum() == len(steps)
-        p_values.append(stats.chisquare(observed).pvalue)
+        calls.setdefault((spec.up_jumps, spec.lower, spec.upper), []).append(spec)
+    p_values = []
+    for (ups, lower, upper), group in calls.items():
+        paths = [enumerate_bridges(s, max_jumps=None) for s in group]
+        reps = [1000 * len(p) for p in paths]
+        steps, _, jumps = _draw_padded(np.repeat([s.i for s in group], reps),
+                                       np.repeat([s.j for s in group], reps),
+                                       ups, 1.0, lower, upper, sum(reps), rng)
+        first = np.cumsum([0] + reps)
+        for spec, spec_paths, a, b in zip(group, paths, first[:-1], first[1:]):
+            assert np.all(jumps[a:b] == spec.jumps)
+            # A skeleton is coded by the bit pattern of its up steps.
+            bits = 1 << np.arange(spec.jumps)
+            codes = np.array([(np.diff(p) > 0) @ bits for p in spec_paths])
+            observed = ((steps[a:b, :spec.jumps] > 0) @ bits == codes[:, None]).sum(axis=1)
+            assert observed.sum() == b - a, spec
+            p_values.append(stats.chisquare(observed).pvalue)
     assert any(s.ends_at_upper for s in specs) and any(s.ends_at_lower for s in specs)
+    assert sum(len({(s.i, s.j) for s in group}) > 1 for group in calls.values()) >= 10
     assert min(p_values) * len(specs) > 0.001, min(p_values)
+
+
+def test_batch_draw_long_rows(rng):
+    # Counts of these rows overflow a float (C(2000, 1000) ~ 1e600), so only
+    # a log-space table draws them: a row of 3000 down steps must take no up
+    # step, and balanced rows of 2000 steps must end at their start, with a
+    # fair first step.
+    steps, dtau, jumps = _draw_padded(3000, 0, 0, 1.0, -np.inf, np.inf, 2, rng)
+    assert jumps.tolist() == [3000, 3000] and np.all(steps == -1)
+    assert np.allclose(dtau.sum(axis=1), 1.0)
+    n = 400
+    steps, _, jumps = _draw_padded(0, 0, 1000, 1.0, -np.inf, np.inf, n, rng)
+    assert np.all(jumps == 2000) and np.all(steps.sum(axis=1) == 0)
+    assert np.all((steps == 1).sum(axis=1) == 1000)
+    assert stats.binomtest(int((steps[:, 0] == 1).sum()), n, 0.5).pvalue > 0.001
+    # A narrow corridor leaves one admissible path of 2000 steps.
+    steps, _, _ = _draw_padded(1, 1, 1000, 1.0, 0, 3, 3, rng)
+    assert np.all(steps[:, 0::2] == 1) and np.all(steps[:, 1::2] == -1)
+
+
+@pytest.mark.parametrize("args", [
+    # every row empty: 1 -> 1 with one up step cannot stay inside (0, 2)
+    (1, 1, 1, 1.0, 0, 2, 3),
+    # an empty row among admissible ones (1 -> 2 ends on the bound by one step)
+    (np.array([1, 1, 1]), np.array([2, 1, 2]), 1, 1.0, 0, 2, 3),
+    # a start state on the upper bound, and an empty row first
+    (np.array([1, 2]), np.array([1, 2]), 1, 1.0, 0, 2, 2),
+    # too few up jumps to climb from 1 to 5
+    (np.array([4, 1]), np.array([5, 5]), 1, 1.0, -np.inf, np.inf, 2),
+])
+def test_batch_draw_empty_rows_raise(args):
+    # An empty row raises before anything is drawn, instead of stepping
+    # through a table of zero counts.
+    stub = _CollideOnceGen(None, at=0)
+    with pytest.raises(ZeroMeasureSpace):
+        _draw_padded(*args, SimpleNamespace(gen=stub))
+    assert stub.calls == 0
 
 
 def _pad_columns(a: np.ndarray, width: int) -> np.ndarray:
@@ -223,7 +258,7 @@ def _pad_columns(a: np.ndarray, width: int) -> np.ndarray:
 
 
 def _mixed_row_groups(pick):
-    """(lower, ups, i, j, upper) groups of rows for one batch draw each."""
+    """(lower, ups, i, j, upper) groups of rows, one batch draw each."""
     groups = []
     lower = -3
     for ups, n in ((0, 200), (3, 200)):
@@ -231,23 +266,24 @@ def _mixed_row_groups(pick):
         j = np.array([pick.integers(lower + 1, a + ups + 1) for a in i])
         if ups == 0:
             i[:3], j[:3] = (5, 1, 40), (5, -1, 0)
-        # Odd rows get an upper bound two above the start, which binds when
-        # ups > 0; even rows get one that no path can reach.
-        upper = i + np.where(np.arange(n) % 2, 2, ups + 1)
-        groups.append((lower, ups, i, np.minimum(j, upper - 1), upper))
+        groups.append((lower, ups, i, j, np.inf))
+    # An upper bound two above the highest start, which binds when ups > 0.
+    for ups in (0, 3):
+        i = pick.integers(30, 41, 100)
+        j = np.array([pick.integers(lower + 1, min(a + ups, 41) + 1) for a in i])
+        groups.append((lower, ups, i, j, 42))
     # Absorbing terminal on the lower bound 0, including 1 -> 0 by a single
-    # forced step (ups = 0) and after a core of four steps (ups = 2).
-    for ups in (0, 2):
-        i = pick.integers(1, 41, 40)
+    # forced step (ups = 0) and after a core of four steps (ups = 2), with
+    # and without an upper bound that binds.
+    for ups, upper in ((0, np.inf), (2, np.inf), (2, 6)):
+        i = pick.integers(1, 41 if upper == np.inf else 6, 40)
         i[0] = 1
-        upper = i + np.where(np.arange(40) % 2, 2, ups + 1)
         groups.append((0, ups, i, np.zeros(40, np.int64), upper))
-    # Terminal on a finite upper bound 1..3 above the start, including a
-    # single forced up step (ups = 1).
-    for ups in (1, 3):
-        i = pick.integers(1, 41, 40)
-        upper = i + (1 if ups == 1 else pick.integers(1, 4, 40))
-        groups.append((-3, ups, i, upper.copy(), upper))
+    # Terminal on a finite upper bound, after a single forced up step
+    # (ups = 1) or after a core of 2 to 4 steps (ups = 3).
+    groups.append((-3, 1, np.full(40, 40), np.full(40, 41), 41))
+    i = pick.integers(9, 12, 40)
+    groups.append((-3, 3, i, np.full(40, 12), 12))
     return groups
 
 
@@ -310,7 +346,7 @@ def _check_mixed_rows(rng, model, path_loglik):
         assert np.allclose(dtau.sum(axis=1), t, rtol=1e-14, atol=0)
         draws.append((i_arr, j_arr, steps, dtau, jumps))
         specs += [BridgeSpec(i=int(a), j=int(b), up_jumps=ups, t=t, lower=lower,
-                             upper=int(c)) for a, b, c in zip(i_arr, j_arr, upper)]
+                             upper=upper) for a, b in zip(i_arr, j_arr)]
     width = max(d[2].shape[1] for d in draws)
     start, end, jumps = (np.concatenate([d[k] for d in draws]) for k in (0, 1, 4))
     steps = np.vstack([_pad_columns(d[2], width) for d in draws])
@@ -369,34 +405,21 @@ def test_batch_time_draw_redraws_collisions(collide):
         assert np.all(dtau[r, :k + 1] > 0) and np.all(dtau[r, k + 1:] == 0)
 
 
-def test_batch_shuffle_rejects_key_ties():
-    # Row 0 has one up step among two; tying its two keys would mark both as
-    # up steps.  The row must be redrawn, so a second key matrix is drawn
-    # before the jump times, and every row still ends at its own end state.
-    stub = _CollideOnceGen(lambda u: u.__setitem__((0, 1), u[0, 0]), at=1)
-    steps, dtau, jumps = _draw_padded(np.array([5, 9]), np.array([5, 8]), 1, 1.0,
-                                      -np.inf, np.inf, 2, SimpleNamespace(gen=stub))
-    assert stub.calls == 3
-    assert jumps.tolist() == [2, 3]
-    assert steps.sum(axis=1).tolist() == [0, -1]
-    assert (steps[0, :2] == 1).sum() == 1
-
-
 def _pinned_cases():
     """Seeded ``_draw_padded`` inputs: (name, args)."""
     i = np.arange(1, 61)
     j = np.where(i % 5 == 0, i, np.maximum(i - i % 23, 0))
     k = np.arange(40)
     return (
-        # filter-like: per-row i, j and upper, 0..22 jumps, zero-jump rows
-        ("mixed", (i, j, 0, 0.7, 0, i + 1, 60, RngStream(41))),
+        # filter-like: per-row i and j, 0..22 jumps, zero-jump rows
+        ("mixed", (i, j, 0, 0.7, 0, np.inf, 60, RngStream(41))),
         # transprob-like: one shared endpoint pair in a binding corridor
         ("uniform", (12, 12, 9, 1.0, 0, 16, 4096, RngStream(42))),
         # absorbing terminal on the lower bound, 7..46 jumps
         ("ends_lower", (k + 1, 0, 3, 2.0, 0, np.inf, 40, RngStream(43))),
-        # terminal on a finite upper bound, 6..9 jumps
-        ("ends_upper", (k % 30 + 1, k % 30 + 4 + k % 4, 6, 0.5, 0, k % 30 + 4 + k % 4,
-                        40, RngStream(44))),
+        # terminal on a finite upper bound among interior ends, 6..11 jumps
+        ("ends_upper", (4 + k % 5, np.where(k % 2, 10, 9), 6, 0.5, 0, 10, 40,
+                        RngStream(44))),
     )
 
 
@@ -408,13 +431,13 @@ def _draw_digest(steps, dtau, jumps) -> str:
     return h.hexdigest()
 
 
-#: Digests of the outputs of ``_pinned_cases``, recorded before the batch
-#: core moved to width classes; that change left every output byte as it was.
+#: Digests of the outputs of ``_pinned_cases``, recorded when the skeleton
+#: draw became the count-driven walk.
 PINNED_DRAWS = {
     "mixed": "713f04ba6472fa8ebae1a9145f82f2667abc624d474cb244cd88971ed02c2808",
-    "uniform": "183de889d1e82ecb90d2891ea0e3db4cae538114d8c072ccdd6149a9e884cc95",
-    "ends_lower": "5442c927a5d381e0e2b2a07a07c4bdedc2b91bda193732819a5d83710948827a",
-    "ends_upper": "1467d2969f74bbe8aaaf9961be26fa7c365e8a8bc5ba349a7482d8885461382a",
+    "uniform": "c21e8462aa8b85970c52cb58761b75908bce50ba061853941e3ab48e820369c2",
+    "ends_lower": "9c10dc85d0a5870a252b02e80c0ae2607141a89e7659a55db9c411abcd27512b",
+    "ends_upper": "6a459b6d8ff4df697e3e4601f06ec1f781af8e4512274f6ed36a0336a70189f8",
 }
 
 
