@@ -3,15 +3,19 @@
 A bridge skeleton is a lattice path from ``i`` to ``j`` built from unit up and
 down steps, with a prescribed number of up steps and two taboo bounds that the
 path must never touch.  The number of such paths follows from the reflection
-principle: images of the endpoint under the group generated by reflections in
-the two bounds contribute an alternating series of binomial coefficients, which
-terminates because out-of-range coefficients vanish.  For a single bound the
-series collapses to one mirror term; with no bounds it is a plain binomial.
+principle.  Of the C(K, u) paths of K steps with u up steps, those that touch
+a bound b map one to one, by reflecting their part after the first touch,
+onto the paths that end at the mirror image of ``j``; these have the mirror
+up count u - j + b.  With one bound the count is C(K, u) - C(K, u - j + b).
+Two bounds of width w = upper - lower generate a reflection group whose
+images shift the up count by multiples of w, so the count is the sum of
+C(K, x) over 0 <= x <= K with x = u (mod w), minus the same sum over
+x = u - j + lower (mod w).
 
 When the end state sits exactly on an absorbing bound, the path must stay
 strictly inside the corridor up to its penultimate step and hit the bound with
-its final jump.  That count reduces to a strict-interior bridge one step
-shorter, with the forced final jump appended.
+its final jump.  ``_core`` reduces it to a strict-interior bridge one step
+shorter; counting, enumeration and the sampler all use it.
 
 Counts are exact integers, and ``log_bridge_count`` is their log.  The
 skeleton sampler (``sampler._draw_padded``) needs the same numbers for every
@@ -22,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import BridgeDomainError, CapacityError, ZeroMeasureSpace
 
@@ -113,60 +116,32 @@ def _comb0(n: int, m) -> int:
     return math.comb(n, int(m))
 
 
-def _strict_terms(jumps: int, ups: int, i: int, j: int, lower, upper):
-    """Signed reflection-series terms ``(coeff_index, sign)`` for
-    strict-interior bridge counts."""
-    if ups < 0 or ups > jumps:
-        return
-    yield ups, 1
+def _class_sum(jumps: int, x: int, width: int) -> int:
+    """Sum of C(jumps, y) over 0 <= y <= jumps with y = x (mod width)."""
+    return sum(math.comb(jumps, y) for y in range(x % width, jumps + 1, width))
+
+
+def _strict_count(jumps: int, ups: int, j: int, lower, upper) -> int:
+    """Number of walks of ``jumps`` steps, ``ups`` of them up, that end at
+    ``j`` and never touch ``lower`` or ``upper``, by the reflection principle."""
     if lower == NEG_INF and upper == POS_INF:
-        return
-    mirror_low = ups - j + lower if lower != NEG_INF else None
-    mirror_up = ups - j + upper if upper != POS_INF else None
-    if upper == POS_INF:
-        yield mirror_low, -1
-        return
-    if lower == NEG_INF:
-        yield mirror_up, -1
-        return
+        return _comb0(jumps, ups)
+    if lower == NEG_INF or upper == POS_INF:
+        bound = int(upper if lower == NEG_INF else lower)
+        return _comb0(jumps, ups) - _comb0(jumps, ups - j + bound)
     width = int(upper - lower)
-    # Doubly infinite alternating series over the reflection group; both
-    # families terminate once their indices leave [0, jumps].
-    n = 1
-    while True:
-        alive = False
-        for idx in (ups + n * width, ups - n * width):
-            if 0 <= idx <= jumps:
-                yield idx, 1
-                alive = True
-        for idx in (mirror_low + n * width, mirror_low - (n - 1) * width):
-            if 0 <= idx <= jumps:
-                yield idx, -1
-                alive = True
-        if not alive:
-            break
-        n += 1
+    return _class_sum(jumps, ups, width) - _class_sum(jumps, ups - j + int(lower), width)
 
 
-def _strict_count(jumps: int, ups: int, i: int, j: int, lower, upper) -> int:
-    total = 0
-    for idx, sign in _strict_terms(jumps, ups, i, j, lower, upper):
-        total += sign * _comb0(jumps, idx)
-    return total
+def _core(jumps, ups, j, lower, upper):
+    """(steps, ups, end) of the strict-interior core of a bridge.
 
-
-def _reduced(spec: BridgeSpec):
-    """(jumps, ups, i, j) of the strict-interior problem counting this spec."""
-    if spec.ends_at_lower:
-        return spec.jumps - 1, spec.up_jumps, spec.i, int(spec.lower) + 1
-    if spec.ends_at_upper:
-        return spec.jumps - 1, spec.up_jumps - 1, spec.i, int(spec.upper) - 1
-    return spec.jumps, spec.up_jumps, spec.i, spec.j
-
-
-@lru_cache(maxsize=1 << 16)
-def _count_cached(jumps, ups, i, j, lower, upper) -> int:
-    return _strict_count(jumps, ups, i, j, lower, upper)
+    A bridge that ends on a finite bound is its core followed by one forced
+    step onto the bound.  Takes scalars or arrays.
+    """
+    ends_low = j == lower
+    ends_up = j == upper
+    return jumps - ends_low - ends_up, ups - ends_up, j + ends_low - ends_up
 
 
 def bridge_count(spec: BridgeSpec) -> int:
@@ -180,8 +155,8 @@ def bridge_count(spec: BridgeSpec) -> int:
         raise CapacityError(
             f"exact counting limited to {EXACT_JUMP_LIMIT} jumps, got {spec.jumps}"
         )
-    jumps, ups, i, j = _reduced(spec)
-    n = _count_cached(jumps, ups, i, j, spec.lower, spec.upper)
+    n = _strict_count(*_core(spec.jumps, spec.up_jumps, spec.j, spec.lower, spec.upper),
+                      spec.lower, spec.upper)
     assert n >= 0
     return n
 
@@ -224,9 +199,10 @@ def enumerate_bridges(spec: BridgeSpec, max_jumps: int | None = 20) -> list[list
     """All skeletons of the spec, as state sequences of length K + 1.
 
     Brute-force depth-first generation using only step budgets and the taboo
-    bounds for pruning; deliberately independent of :func:`bridge_count` so it
-    can serve as its oracle.  Refuses specs above ``max_jumps`` unless the
-    limit is passed as None.
+    bounds for pruning; independent of the reflection sums of
+    :func:`bridge_count` (it shares only ``_core``) so it can serve as their
+    oracle.  Refuses specs above ``max_jumps`` unless the limit is passed as
+    None.
     """
     if not spec.feasible:
         return []
@@ -234,11 +210,12 @@ def enumerate_bridges(spec: BridgeSpec, max_jumps: int | None = 20) -> list[list
         raise BridgeDomainError(
             f"enumeration limited to {max_jumps} jumps, got {spec.jumps}"
         )
-    jumps, ups, i, j_eff = _reduced(spec)
+    lower, upper = spec.lower, spec.upper
+    jumps, ups, j_eff = _core(spec.jumps, spec.up_jumps, spec.j, lower, upper)
     downs = jumps - ups
     if ups < 0 or downs < 0:
         return []
-    lower, upper = spec.lower, spec.upper
+    i = spec.i
     paths: list[list[int]] = []
     prefix = [i]
 
@@ -263,10 +240,7 @@ def enumerate_bridges(spec: BridgeSpec, max_jumps: int | None = 20) -> list[list
             paths.append([i])
     else:
         rec(i, ups, downs)
-    if spec.ends_at_lower:
+    if j_eff != spec.j:
         for p in paths:
-            p.append(int(spec.lower))
-    elif spec.ends_at_upper:
-        for p in paths:
-            p.append(int(spec.upper))
+            p.append(spec.j)
     return paths

@@ -189,9 +189,6 @@ def _build_specs(model, i, j, t, bset: BSet):
     """Per up-jump count: (spec, log count), or None for an empty space."""
     specs = []
     for up_jumps in bset:
-        if up_jumps + i - j < 0:
-            specs.append(None)
-            continue
         try:
             spec = spec_for(model, i, j, up_jumps, t)
         except BridgeDomainError:
@@ -294,8 +291,6 @@ def estimate_pij_b(model: BirthDeathModel, i: int, j: int, t: float,
                    up_jumps: int, n: int, rng: RngStream,
                    threads: int = 1) -> MCEstimate:
     """Probability of travelling i -> j in time t with exactly ``up_jumps`` up steps."""
-    if up_jumps + i - j < 0:
-        return MCEstimate(0.0, 0.0, n, NEG_INF)
     return estimate_pij(model, i, j, t, BSet((up_jumps,)), n, rng, threads=threads)
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import NEG_INF, BridgeSpec
+from .counting import NEG_INF, BridgeSpec, _core
 from .errors import BridgeDomainError, ZeroMeasureSpace
 
 #: Width classes smaller than this many cells join the next wider class: a
@@ -224,8 +224,9 @@ def _draw_padded(i, j, up_jumps: int, t: float, lower, upper, size: int,
     likelihood sums ignore them.  Raises :class:`ZeroMeasureSpace`, before
     any draw, when a row's bridge space is empty.
 
-    A row's core runs strictly inside the corridor; a row whose end state
-    sits on a finite bound gets its forced terminal step appended after it.
+    A row's core (``counting._core``) runs strictly inside the corridor; a
+    row whose end state sits on a finite bound gets its forced terminal step
+    appended after it.
     The core is drawn column by column from the exact counts of its
     completions (see ``_log_walk_counts``), one table per distinct core end,
     so it never rejects.  The stream use is fixed: one uniform matrix of
@@ -239,12 +240,9 @@ def _draw_padded(i, j, up_jumps: int, t: float, lower, upper, size: int,
     j = np.broadcast_to(np.asarray(j, np.int64), (size,))
     lower, upper = float(lower), float(upper)
 
-    ends_low = j == lower
-    ends_up = j == upper
     jumps = 2 * up_jumps + i - j
-    length = jumps - ends_low - ends_up
-    ups = up_jumps - ends_up
-    ends, end_row = np.unique(j + ends_low - ends_up, return_inverse=True)
+    length, ups, core_end = _core(jumps, up_jumps, j, lower, upper)
+    ends, end_row = np.unique(core_end, return_inverse=True)
     len_max = max(int(length.max()), 0) if size else 0
     log_t = _log_walk_counts(ends, len_max, up_jumps, lower, upper)
     # A negative core length or up count only arises from an infeasible
@@ -278,9 +276,9 @@ def _draw_padded(i, j, up_jumps: int, t: float, lower, upper, size: int,
     steps = np.zeros((size, jumps_max), np.int8)
     steps[order, :len_max] = 2 * up.T - (cols[:len_max] < length[order, None])
 
-    rows_low = np.flatnonzero(ends_low)
+    rows_low = np.flatnonzero(j == lower)
     steps[rows_low, length[rows_low]] = -1
-    rows_up = np.flatnonzero(ends_up)
+    rows_up = np.flatnonzero(j == upper)
     steps[rows_up, length[rows_up]] = 1
 
     dtau = np.zeros((size, jumps_max + 1))

@@ -144,14 +144,18 @@ def _transfer_count(spec):
 def test_log_route_matches_exact_route():
     # Counts of more than 64 jumps, in narrow and wide corridors and with
     # absorbing terminals, against an independent transfer count.
+    # The width-2 corridor is empty; in the last case the lower mirror index
+    # is negative and its residue class starts at 50.
     for i, j, ups, lower, upper in [(0, 1, 35, -4, 5), (0, 1, 40, None, 6),
                                     (0, 1, 38, -3, None), (0, 1, 45, None, None),
-                                    (2, 0, 40, 0, 9), (2, 6, 40, 0, 6)]:
+                                    (2, 0, 40, 0, 9), (2, 6, 40, 0, 6),
+                                    (1, 1, 60, 0, 3), (1, 1, 40, 0, 2),
+                                    (80, 70, 30, 0, 90)]:
         spec = BridgeSpec(i=i, j=j, up_jumps=ups, lower=lower, upper=upper)
         assert spec.jumps > 64
         exact = _transfer_count(spec)
         assert bridge_count(spec) == exact
-        assert log_bridge_count(spec) == math.log(exact)
+        assert log_bridge_count(spec) == (math.log(exact) if exact else -INF)
 
 
 bounded_specs = st.builds(

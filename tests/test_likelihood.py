@@ -93,6 +93,9 @@ def test_estimate_infeasible_and_out_of_space(sis_table_model, rng):
     assert est.value == 0.0 and est.std_error == 0.0 and est.log_value == NEG_INF
     with pytest.raises(ModelDomainError):
         estimate_pij(sis_table_model, 31, 5, 1.0, BSet((0,)), 100, rng)
+    # An out-of-domain start is an error even with an infeasible budget.
+    with pytest.raises(ModelDomainError):
+        estimate_pij_b(sis_table_model, 40, 45, 1.0, 2, 100, rng)
 
 
 def test_estimate_from_absorbing_state(sis_table_model, rng):

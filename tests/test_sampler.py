@@ -8,13 +8,20 @@ import pytest
 from scipy import stats
 
 import bdbridge.sampler as sampler_module
-from bdbridge.counting import BridgeSpec, bridge_count, enumerate_bridges
+from bdbridge.counting import (
+    BridgeSpec,
+    bridge_count,
+    enumerate_bridges,
+    log_bridge_count,
+)
 from bdbridge.errors import ZeroMeasureSpace
 from bdbridge.likelihood import batch_path_loglik
 from bdbridge.sampler import (
     BridgePath,
     RngStream,
+    _bridge_paths,
     _draw_padded,
+    _log_walk_counts,
     sample_bridge,
     sample_skeleton,
     sample_times,
@@ -71,14 +78,48 @@ def test_skeleton_count_beyond_int64():
     # integer index would not fit in 64 bits.
     spec = BridgeSpec(i=0, j=0, up_jumps=40)
     assert bridge_count(spec) >= 1 << 63
-    rng = RngStream(5)
-    first_up = 0
     n = 2000
-    for _ in range(n):
-        skel = sample_skeleton(spec, rng)
-        BridgePath(np.linspace(0.0, 1.0, 82), np.append(skel, 0)).validate(spec)
-        first_up += int(skel[1] == 1)
+    times, states = _bridge_paths(spec, n, RngStream(5))
+    for row_t, row_s in zip(times, states):
+        BridgePath(row_t, row_s).validate(spec)
+    first_up = int(np.sum(states[:, 1] == 1))
     assert stats.binomtest(first_up, n, 0.5).pvalue > 0.001
+
+
+def _assert_walk_table_matches_counts(specs, lower, upper):
+    """The sampler's walk table, read at each spec's core, equals its log count.
+
+    Every spec ends inside or on the absorbing lower bound 0, where the core
+    stops one step short, at 1.
+    """
+    ups = np.array([s.up_jumps for s in specs])
+    jumps = np.array([s.jumps for s in specs])
+    j = np.array([s.j for s in specs])
+    absorbed = j == 0
+    length = jumps - absorbed
+    ends, end_row = np.unique(j + absorbed, return_inverse=True)
+    table = _log_walk_counts(ends, int(length.max()), int(ups.max()), lower, upper)
+    got = table[end_row, length, ups]
+    want = np.array([log_bridge_count(s) for s in specs])
+    np.testing.assert_array_equal(np.isneginf(got), np.isneginf(want))
+    finite = np.isfinite(want)
+    np.testing.assert_allclose(got[finite], want[finite], rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("drop", [0, 1, 2, 5, 10, 20, 40])
+def test_walk_table_matches_filter_pair_counts(drop):
+    # The filter weighs its draws by counts in (0, i + drop + 1) and draws
+    # them from a table without the upper bound, which no path can reach;
+    # j = 0 is an absorbing end.
+    specs = [BridgeSpec(i=i, j=j, up_jumps=drop, lower=0, upper=i + drop + 1)
+             for i in range(1, 61) for j in range(i + drop + 1)]
+    _assert_walk_table_matches_counts(specs, 0.0, np.inf)
+
+
+def test_walk_table_matches_sis_counts():
+    specs = [BridgeSpec(i=i, j=0, up_jumps=ups, lower=0, upper=31)
+             for i in range(1, 31) for ups in range(41)]
+    _assert_walk_table_matches_counts(specs, 0.0, 31.0)
 
 
 def test_skeleton_empty_space_errors(rng):
