@@ -4,10 +4,12 @@ Subcommands map one-to-one onto the library: ``count`` and ``sample`` expose
 the bridge combinatorics and sampler, ``transprob`` the transition-probability
 engines (bridge sampling, straight simulation, closed form), ``simulate`` the
 forward simulator, ``filter``/``scan-failure``/``fit`` the epidemic filtering
-stack.  Structured results are JSON with every float printed to 17 significant
-digits so reruns can be compared byte-for-byte; matrices and paths are CSV.
+stack.  Options shared by several subcommands are declared once, in parent
+parsers.  Structured results are JSON with every float printed to 17
+significant digits so reruns can be compared byte-for-byte; matrices and paths
+are CSV; both go through one sink (stdout, or the ``--output`` file).
 
-Exit codes: 0 success, 1 usage error, 2 domain/data error.
+Exit codes, set in ``main`` alone: 0 success, 1 usage error, 2 domain/data error.
 """
 
 from __future__ import annotations
@@ -18,29 +20,20 @@ import io
 import math
 import os
 import sys
+from contextlib import contextmanager
 from importlib import resources
 
 import numpy as np
 
 from . import filters, inference, likelihood, models, reference
 from .counting import BridgeSpec, bridge_count, log_bridge_density
-from .errors import (
-    BridgeDomainError,
-    CapacityError,
-    DataFormatError,
-    ModelDomainError,
-    UnsupportedCaseError,
-    ZeroMeasureSpace,
-)
+from .errors import CapacityError, DataFormatError, ZeroMeasureSpace
 from .sampler import RngStream, _bridge_paths
 
 DEFAULT_SEED = 20240817
 SEED_ENV_VAR = "BDBRIDGE_SEED"
 
-_DOMAIN_ERRORS = (
-    BridgeDomainError, ModelDomainError, DataFormatError,
-    UnsupportedCaseError, CapacityError, ZeroMeasureSpace, ValueError,
-)
+_DOMAIN_ERRORS = (ValueError, CapacityError, ZeroMeasureSpace)
 
 
 class UsageError(Exception):
@@ -189,9 +182,18 @@ def load_shigellosis() -> filters.Observations:
     return load_observations(shigellosis_path())
 
 
+@contextmanager
+def _sink(path):
+    """Where a result goes: stdout for no path or '-', otherwise the file."""
+    if not path or path == "-":
+        yield sys.stdout
+    else:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+
+
 def _write_csv(path, header, rows):
-    out = sys.stdout if path in (None, "-") else open(path, "w", newline="", encoding="utf-8")
-    try:
+    with _sink(path) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -199,44 +201,38 @@ def _write_csv(path, header, rows):
                 _fmt_float(v) if isinstance(v, (float, np.floating)) else v
                 for v in row
             ])
-    finally:
-        if out is not sys.stdout:
-            out.close()
 
 
-def _emit(args, payload: str):
-    if getattr(args, "output", None) and args.output != "-":
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
+def _emit(path, result: dict):
+    with _sink(path) as out:
+        print(_dump_json(result), file=out)
+
+
+def _bridge_spec(args) -> BridgeSpec:
+    return BridgeSpec(i=args.i, j=args.j, up_jumps=args.B, t=args.t,
+                      lower=args.l, upper=args.u)
 
 
 def _cmd_count(args):
-    spec = BridgeSpec(i=args.i, j=args.j, up_jumps=args.B, t=args.t,
-                      lower=args.l, upper=args.u)
+    spec = _bridge_spec(args)
     n = bridge_count(spec)
     try:
         log_density = log_bridge_density(spec)
     except ZeroMeasureSpace:
         log_density = None
-    _emit(args, _dump_json({
+    _emit(args.output, {
         "i": spec.i, "j": spec.j, "up_jumps": spec.up_jumps, "t": spec.t,
         "lower": spec.lower, "upper": spec.upper,
         "count": n, "log_density": log_density, "feasible": n > 0,
-    }))
-    return 0
+    })
 
 
 def _cmd_sample(args):
-    spec = BridgeSpec(i=args.i, j=args.j, up_jumps=args.B, t=args.t,
-                      lower=args.l, upper=args.u)
-    times, states = _bridge_paths(spec, args.n, RngStream(args.seed))
+    times, states = _bridge_paths(_bridge_spec(args), args.n, RngStream(args.seed))
     rows = [(rep, k, tau, omega)
             for rep, (row_t, row_s) in enumerate(zip(times.tolist(), states.tolist()))
             for k, (tau, omega) in enumerate(zip(row_t, row_s))]
     _write_csv(args.output, ["replicate_id", "k", "tau_k", "omega_k"], rows)
-    return 0
 
 
 def _cmd_transprob(args):
@@ -246,12 +242,12 @@ def _cmd_transprob(args):
         if args.model != "lbdi":
             raise UsageError("--method closed is only available for the lbdi model")
         value = reference.lbdi_transition(params, args.i, args.j, args.t)
-        _emit(args, _dump_json({
+        _emit(args.output, {
             "method": "closed", "model": args.model, "i": args.i, "j": args.j,
             "t": args.t, "value": value,
             "log_value": math.log(value) if value > 0 else float("-inf"),
-        }))
-        return 0
+        })
+        return
     if args.method == "straight":
         est = reference.straight_estimate(model, args.i, args.j, args.t, args.n, rng)
         bset = None
@@ -267,14 +263,13 @@ def _cmd_transprob(args):
                                           args.eps, rng.child(1))
         est = likelihood.estimate_pij(model, args.i, args.j, args.t, bset,
                                       args.n, rng.child(2), threads=args.threads)
-    _emit(args, _dump_json({
+    _emit(args.output, {
         "method": args.method, "model": args.model, "i": args.i, "j": args.j,
         "t": args.t, "n": est.n, "value": est.value, "std_error": est.std_error,
         "log_value": est.log_value,
         "bset": list(bset) if bset is not None else None,
         "seed": args.seed, "threads": args.threads,
-    }))
-    return 0
+    })
 
 
 def _cmd_simulate(args):
@@ -284,7 +279,6 @@ def _cmd_simulate(args):
     rows = [(float(tv), int(sv)) for tv, sv in zip(path.times, path.states)]
     rows.append((float(path.horizon), path.final_state))
     _write_csv(args.output, ["time", "state"], rows)
-    return 0
 
 
 def _cmd_filter(args):
@@ -295,13 +289,12 @@ def _cmd_filter(args):
     rng = RngStream(args.seed)
     trace: list = []
     loglik, final = filters.run_filter(params, obs, args.i0, args.m, rng, trace=trace)
-    _emit(args, _dump_json({
+    _emit(args.output, {
         "loglik": loglik,
         "per_step": trace,
         "posterior_final": final.posterior,
         "i0": args.i0, "m": args.m, "seed": args.seed,
-    }))
-    return 0
+    })
 
 
 def _cmd_scan_failure(args):
@@ -320,7 +313,6 @@ def _cmd_scan_failure(args):
                 int(scan.failed[0, a, b]), int(scan.failed[1, a, b]),
             ))
     _write_csv(args.output, ["beta", "gamma", "survival_min", "failed_0p1", "failed_0p01"], rows)
-    return 0
 
 
 def _cmd_fit(args):
@@ -342,7 +334,7 @@ def _cmd_fit(args):
                              float(fit.surface.mean[a, b]),
                              float(fit.surface.spread[a, b])))
         _write_csv(args.surface_out, ["beta", "gamma", "loglik", "loglik_sd"], rows)
-    _emit(args, _dump_json({
+    _emit(args.output, {
         "beta_hat": fit.beta_hat, "gamma_hat": fit.gamma_hat,
         "ci_beta": list(fit.ci_beta), "ci_gamma": list(fit.ci_gamma),
         "ci_beta_at_edge": list(fit.ci_beta_at_edge),
@@ -351,13 +343,17 @@ def _cmd_fit(args):
         "boundary_warning": fit.boundary_warning,
         "ci_method": "profile likelihood, chi-square(1) 95% drop of 1.92",
         "m": args.m, "replications": args.replications, "seed": args.seed,
-    }))
-    return 0
+    })
 
 
 def _default_seed() -> int:
     env = os.environ.get(SEED_ENV_VAR)
-    return int(env) if env else DEFAULT_SEED
+    if not env:
+        return DEFAULT_SEED
+    try:
+        return int(env)
+    except ValueError:
+        raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def build_parser() -> _Parser:
@@ -366,36 +362,41 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     seed = _default_seed()
 
-    def add_common(p, output_default=None):
-        p.add_argument("--seed", type=int, default=seed,
-                       help=f"random seed (default {seed}, env {SEED_ENV_VAR})")
-        p.add_argument("--output", "-o", default=output_default,
-                       help="output path ('-' or omit for stdout)")
+    bridge = _Parser(add_help=False)
+    bridge.add_argument("--i", type=int, required=True)
+    bridge.add_argument("--j", type=int, required=True)
+    bridge.add_argument("--B", type=int, required=True, dest="B")
+    bridge.add_argument("--l", type=_parse_bound, default=None)
+    bridge.add_argument("--u", type=_parse_bound, default=None)
+    bridge.add_argument("--t", type=float, default=1.0)
 
-    p = sub.add_parser("count", help="exact bridge count and log-density")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--B", type=int, required=True, dest="B")
-    p.add_argument("--l", type=_parse_bound, default=None)
-    p.add_argument("--u", type=_parse_bound, default=None)
-    p.add_argument("--t", type=float, default=1.0)
-    add_common(p)
+    model = _Parser(add_help=False)
+    model.add_argument("--model", required=True, choices=["lbdi", "sis", "sir"])
+    model.add_argument("--params", required=True, help="comma-separated key=value")
+
+    record = _Parser(add_help=False)
+    record.add_argument("--data", required=True, help="CSV with header time,S")
+    record.add_argument("--i0", type=int, default=1)
+
+    grid = _Parser(add_help=False)
+    grid.add_argument("--beta-range", required=True, help="lo:hi:steps")
+    grid.add_argument("--gamma-range", required=True, help="lo:hi:steps")
+
+    common = _Parser(add_help=False)
+    common.add_argument("--seed", type=int, default=seed,
+                        help=f"random seed (default {seed}, env {SEED_ENV_VAR})")
+    common.add_argument("--output", "-o", help="output path ('-' or omit for stdout)")
+
+    p = sub.add_parser("count", parents=[bridge, common],
+                       help="exact bridge count and log-density")
     p.set_defaults(func=_cmd_count)
 
-    p = sub.add_parser("sample", help="draw bridge paths as CSV")
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--B", type=int, required=True, dest="B")
-    p.add_argument("--l", type=_parse_bound, default=None)
-    p.add_argument("--u", type=_parse_bound, default=None)
-    p.add_argument("--t", type=float, default=1.0)
+    p = sub.add_parser("sample", parents=[bridge, common], help="draw bridge paths as CSV")
     p.add_argument("--n", type=_positive_int, default=1, help="number of replicate paths")
-    add_common(p)
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("transprob", help="transition probability estimate")
-    p.add_argument("--model", required=True, choices=["lbdi", "sis", "sir"])
-    p.add_argument("--params", required=True, help="comma-separated key=value")
+    p = sub.add_parser("transprob", parents=[model, common],
+                       help="transition probability estimate")
     p.add_argument("--i", type=int, required=True)
     p.add_argument("--j", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
@@ -409,48 +410,34 @@ def build_parser() -> _Parser:
                    help="adaptive up-jump set tolerance (used when --bmax absent)")
     p.add_argument("--threads", type=_positive_int, default=1,
                    help="threads over sample blocks")
-    add_common(p)
     p.set_defaults(func=_cmd_transprob)
 
-    p = sub.add_parser("simulate", help="forward-simulate one trajectory as CSV")
-    p.add_argument("--model", required=True, choices=["lbdi", "sis", "sir"])
-    p.add_argument("--params", required=True)
+    p = sub.add_parser("simulate", parents=[model, common],
+                       help="forward-simulate one trajectory as CSV")
     p.add_argument("--y0", type=int, required=True)
     p.add_argument("--t", type=float, required=True)
-    add_common(p)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("filter", help="sequential filter log-likelihood")
-    p.add_argument("--data", required=True, help="CSV with header time,S")
-    p.add_argument("--model", default="sir", choices=["sir"])
+    p = sub.add_parser("filter", parents=[record, common],
+                       help="sequential filter log-likelihood")
     p.add_argument("--params", required=True, help="beta=...,gamma=...[,n0=...]")
     p.add_argument("--m", type=_positive_int, default=10_000, help="replicates per step")
-    p.add_argument("--i0", type=int, default=1)
-    add_common(p)
     p.set_defaults(func=_cmd_filter)
 
-    p = sub.add_parser("scan-failure", help="bootstrap-filter failure domain scan")
-    p.add_argument("--data", required=True)
-    p.add_argument("--beta-range", required=True, help="lo:hi:steps")
-    p.add_argument("--gamma-range", required=True, help="lo:hi:steps")
+    p = sub.add_parser("scan-failure", parents=[record, grid, common],
+                       help="bootstrap-filter failure domain scan")
     p.add_argument("--particles", type=_positive_int, default=100_000)
-    p.add_argument("--i0", type=int, default=1)
-    add_common(p)
     p.set_defaults(func=_cmd_scan_failure)
 
-    p = sub.add_parser("fit", help="maximum likelihood fit of (beta, gamma)")
-    p.add_argument("--data", required=True)
-    p.add_argument("--beta-range", required=True, help="lo:hi:steps")
-    p.add_argument("--gamma-range", required=True, help="lo:hi:steps")
+    p = sub.add_parser("fit", parents=[record, grid, common],
+                       help="maximum likelihood fit of (beta, gamma)")
     p.add_argument("--m", type=_positive_int, default=10_000)
     p.add_argument("--replications", type=_positive_int, default=5)
     p.add_argument("--refinements", type=_positive_int, default=2)
     p.add_argument("--threads", type=_positive_int, default=1,
                    help="worker processes for grid cells")
-    p.add_argument("--i0", type=int, default=1)
     p.add_argument("--surface-out", default=None,
                    help="also dump the full-span surface CSV here")
-    add_common(p)
     p.set_defaults(func=_cmd_fit)
 
     return parser
@@ -470,15 +457,12 @@ def _join_negative_infinity(argv: list[str]) -> list[str]:
     return out
 
 
-def parse_and_dispatch(argv=None) -> int:
+def main(argv=None) -> int:
     argv = _join_negative_infinity(sys.argv[1:] if argv is None else list(argv))
     try:
         args = build_parser().parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return args.func(args)
+        args.func(args)
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -488,10 +472,6 @@ def parse_and_dispatch(argv=None) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-def main(argv=None) -> int:
-    return parse_and_dispatch(argv)
 
 
 if __name__ == "__main__":

@@ -46,6 +46,12 @@ def _normalize_bound(value, default: float):
     return int(value)
 
 
+def check_time(t) -> None:
+    """The one rule for an elapsed time, shared by bridges and simulators."""
+    if not (t > 0) or math.isinf(t):
+        raise BridgeDomainError(f"t must be finite and > 0, got {t}")
+
+
 @dataclass(frozen=True)
 class BridgeSpec:
     """One restricted bridge space: start ``i``, end ``j``, ``up_jumps`` up
@@ -72,8 +78,7 @@ class BridgeSpec:
         object.__setattr__(self, "upper", _normalize_bound(self.upper, POS_INF))
         if self.up_jumps < 0:
             raise BridgeDomainError(f"up_jumps must be >= 0, got {self.up_jumps}")
-        if not (self.t > 0) or math.isinf(self.t):
-            raise BridgeDomainError(f"t must be finite and > 0, got {self.t}")
+        check_time(self.t)
         if self.lower >= self.upper:
             raise BridgeDomainError(f"need lower < upper, got ({self.lower}, {self.upper})")
         if not (self.lower < self.i < self.upper):
@@ -84,8 +89,6 @@ class BridgeSpec:
             raise BridgeDomainError(
                 f"end state {self.j} must lie inside [{self.lower}, {self.upper}]"
             )
-        if self.ends_at_lower and self.ends_at_upper:
-            raise BridgeDomainError("end state cannot sit on both bounds")
 
     @property
     def down_jumps(self) -> int:

@@ -26,6 +26,7 @@ import numpy as np
 from .counting import (
     NEG_INF,
     BridgeSpec,
+    check_time,
     log_bridge_count,
     log_simplex_density,
 )
@@ -189,11 +190,7 @@ def _build_specs(model, i, j, t, bset: BSet):
     """Per up-jump count: (spec, log count), or None for an empty space."""
     specs = []
     for up_jumps in bset:
-        try:
-            spec = spec_for(model, i, j, up_jumps, t)
-        except BridgeDomainError:
-            specs.append(None)
-            continue
+        spec = spec_for(model, i, j, up_jumps, t)
         log_card = log_bridge_count(spec)
         specs.append((spec, log_card) if log_card > NEG_INF else None)
     return specs
@@ -253,6 +250,7 @@ def estimate_pij(model: BirthDeathModel, i: int, j: int, t: float, bset,
         raise ValueError(f"n must be >= 1, got {n}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    check_time(t)
     bset = _as_bset(bset)
     if not model.contains(i):
         raise ModelDomainError(f"start state {i} outside state space of {model.name}")

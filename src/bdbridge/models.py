@@ -228,9 +228,6 @@ class SIRReducedModel(BirthDeathModel):
         remaining = np.maximum(self.s0 - np.asarray(up_count), 0)
         return self.params.beta * remaining * np.asarray(state)
 
-    def _check_boundary_rates(self):
-        pass  # birth(0) = 0 and death(0) = 0 hold identically
-
 
 def sir_as_bd(params: SIRParams, s0: int) -> SIRReducedModel:
     """Reduce the removal-model pair (S, I) to a birth-death process in I.

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
+from .counting import check_time
 from .errors import ModelDomainError, UnsupportedCaseError
 from .models import BirthDeathModel, LBDIParams, SIRReducedModel
 from .sampler import RngStream
@@ -105,6 +106,7 @@ def gillespie_simulate(model: BirthDeathModel, y0: int, t: float,
     rate-proportional direction; stops at absorbing states or the horizon."""
     if not model.contains(y0):
         raise ModelDomainError(f"start state {y0} outside state space of {model.name}")
+    check_time(t)
     times = [0.0]
     states = [int(y0)]
     now = 0.0
@@ -170,6 +172,7 @@ def straight_estimate(model: BirthDeathModel, i: int, j: int, t: float,
     """
     from .likelihood import MCEstimate  # local import to avoid a cycle
 
+    check_time(t)
     finals, _ = _terminal_states(model, i, t, n, rng)
     hits = int(np.sum(finals == j))
     p = hits / n

@@ -275,6 +275,55 @@ def test_negative_infinite_bound_spellings(capsys, argv, flag):
     assert spaced[0] != 1 and "usage error" not in spaced[2]
 
 
+@pytest.mark.parametrize("argv", [
+    ("transprob", "--model", "sis", "--params", "n0=30,beta=0.03,gamma=1",
+     "--i", "5", "--j", "5", "--n", "1000"),
+    ("transprob", "--model", "sis", "--params", "n0=30,beta=0.03,gamma=1",
+     "--i", "5", "--j", "5", "--n", "1000", "--method", "straight"),
+    ("simulate", "--model", "sis", "--params", "n0=30,beta=0.003,gamma=1", "--y0", "5"),
+], ids=["transprob-igbs", "transprob-straight", "simulate"])
+def test_zero_time_is_domain_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--t", "0")
+    assert (code, out, err) == (2, "", "error: t must be finite and > 0, got 0.0\n")
+
+
+def test_malformed_seed_env_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("BDBRIDGE_SEED", "abc")
+    code, out, err = run_cli(capsys, "count", "--i", "1", "--j", "1", "--B", "2")
+    assert (code, out) == (1, "")
+    assert err == "usage error: BDBRIDGE_SEED must be an integer, got 'abc'\n"
+
+
+_SHIGELLA_FILTER = ("filter", "--data", shigellosis_path(),
+                    "--params", "beta=0.0016,gamma=0.2607", "--m", "50")
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--i", "1", "--j", "1", "--B", "2", "--l", "0", "--u", "3"),
+    ("transprob", "--model", "sis", "--params", "n0=30,beta=0.003,gamma=1",
+     "--i", "5", "--j", "4", "--t", "1", "--n", "200", "--seed", "9"),
+    _SHIGELLA_FILTER,
+], ids=["count", "transprob", "filter"])
+def test_output_file_gets_the_printed_bytes(capsys, tmp_path, argv):
+    printed = run_cli(capsys, *argv)
+    assert printed[0] == 0 and printed[1].startswith("{")
+    assert run_cli(capsys, *argv, "--output", "-") == printed
+    target = tmp_path / "result.json"
+    assert run_cli(capsys, *argv, "--output", str(target)) == (0, "", "")
+    assert target.read_bytes() == printed[1].encode("utf-8")
+
+
+def test_missing_parameter_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "filter", "--data", shigellosis_path(),
+                             "--params", "beta=0.0016")
+    assert (code, out, err) == (1, "", "usage error: missing parameter 'gamma'\n")
+
+
+def test_filter_takes_no_model(capsys):
+    code, out, err = run_cli(capsys, *_SHIGELLA_FILTER, "--model", "sir")
+    assert (code, out) == (1, "") and "usage error" in err and "--model" in err
+
+
 def test_bmax_below_minimum_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "transprob", "--model", "sis",
                              "--params", "n0=30,beta=0.003,gamma=1",

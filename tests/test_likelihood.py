@@ -21,7 +21,9 @@ from bdbridge.models import LBDIParams, SIRParams, SISParams, lbdi_model, sir_as
 from bdbridge.reference import (
     generator_transition,
     generator_transition_fixed_ups,
+    gillespie_simulate,
     lbdi_transition,
+    straight_estimate,
 )
 from bdbridge.sampler import BridgePath, RngStream
 
@@ -102,6 +104,30 @@ def test_estimate_from_absorbing_state(sis_table_model, rng):
     est = estimate_pij(sis_table_model, 0, 0, 1.0, BSet((0, 1)), 100, rng)
     assert est.value == 1.0 and est.std_error == 0.0
     assert estimate_pij(sis_table_model, 0, 2, 1.0, BSet((0, 1, 2)), 100, rng).value == 0.0
+
+
+# Every entry that takes an elapsed time refuses one that is not finite and
+# positive.  They run on SIS, which absorbs, so at t = inf a forward
+# simulator that skipped the check would return rather than hang.
+_TIMED_ENTRIES = {
+    "estimate_pij": lambda m, t, rng: estimate_pij(m, 5, 5, t, BSet((0, 1, 2)), 100, rng),
+    "estimate_pij_absorbing_start": lambda m, t, rng: estimate_pij(m, 0, 0, t, BSet((0,)), 100, rng),
+    "estimate_pij_b": lambda m, t, rng: estimate_pij_b(m, 5, 5, t, 1, 100, rng),
+    "straight_estimate": lambda m, t, rng: straight_estimate(m, 5, 5, t, 100, rng),
+    "gillespie_simulate": lambda m, t, rng: gillespie_simulate(m, 5, t, rng),
+}
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("entry", list(_TIMED_ENTRIES))
+def test_invalid_time_raises(sis_table_model, rng, entry, t):
+    with pytest.raises(BridgeDomainError, match="finite and > 0"):
+        _TIMED_ENTRIES[entry](sis_table_model, t, rng)
+
+
+def test_fractional_start_raises(sis_table_model, rng):
+    with pytest.raises(BridgeDomainError, match="must be an integer"):
+        estimate_pij(sis_table_model, 2.5, 5, 1.0, BSet((0, 1, 2)), 100, rng)
 
 
 def test_estimate_agrees_with_closed_form(lbdi_table, lbdi_table_model):
