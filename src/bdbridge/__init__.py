@@ -70,12 +70,6 @@ from .reference import (
     lbdi_transition,
     straight_estimate,
 )
-from .sampler import (
-    BridgePath,
-    RngStream,
-    sample_bridge,
-    sample_skeleton,
-    sample_times,
-)
+from .sampler import BridgePath, RngStream, sample_bridges
 
 __version__ = "0.1.0"

@@ -28,12 +28,13 @@ import numpy as np
 from . import filters, inference, likelihood, models, reference
 from .counting import BridgeSpec, bridge_count, log_bridge_density
 from .errors import CapacityError, DataFormatError, ZeroMeasureSpace
-from .sampler import RngStream, _bridge_paths
+from .sampler import RngStream, sample_bridges
 
 DEFAULT_SEED = 20240817
 SEED_ENV_VAR = "BDBRIDGE_SEED"
 
-_DOMAIN_ERRORS = (ValueError, CapacityError, ZeroMeasureSpace)
+#: Unopenable files (``--data``, ``--output``, ``--surface-out``) are data errors.
+_DOMAIN_ERRORS = (ValueError, CapacityError, ZeroMeasureSpace, OSError)
 
 
 class UsageError(Exception):
@@ -95,7 +96,10 @@ def _parse_params(text: str) -> dict:
         if "=" not in chunk:
             raise UsageError(f"bad parameter {chunk!r}, expected key=value")
         key, val = chunk.split("=", 1)
-        out[key.strip()] = float(val)
+        try:
+            out[key.strip()] = float(val)
+        except ValueError:
+            raise UsageError(f"bad parameter {chunk!r}, value is not a number") from None
     return out
 
 
@@ -228,7 +232,7 @@ def _cmd_count(args):
 
 
 def _cmd_sample(args):
-    times, states = _bridge_paths(_bridge_spec(args), args.n, RngStream(args.seed))
+    times, states = sample_bridges(_bridge_spec(args), args.n, RngStream(args.seed))
     rows = [(rep, k, tau, omega)
             for rep, (row_t, row_s) in enumerate(zip(times.tolist(), states.tolist()))
             for k, (tau, omega) in enumerate(zip(row_t, row_s))]

@@ -131,6 +131,14 @@ class BirthDeathModel:
         return f"<BirthDeathModel {self.name}>"
 
 
+def _check_rates(params, *names: str) -> None:
+    """Reject a rate field that is negative or not finite, naming it."""
+    for name in names:
+        value = getattr(params, name)
+        if not (math.isfinite(value) and value >= 0):
+            raise ModelDomainError(f"{name} must be finite and >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class LBDIParams:
     """Linear birth-death-immigration rates: birth lam*Y + nu, death mu*Y."""
@@ -140,38 +148,31 @@ class LBDIParams:
     nu: float
 
     def __post_init__(self):
-        if self.lam < 0 or self.mu < 0 or self.nu < 0:
-            raise ModelDomainError(f"L-BDI rates must be >= 0, got {self}")
+        _check_rates(self, "lam", "mu", "nu")
 
 
 @dataclass(frozen=True)
-class SISParams:
+class _EpidemicParams:
+    """Population size and rates shared by the SIS and SIR parameters."""
+
+    n0: int
+    beta: float
+    gamma: float
+
+    def __post_init__(self):
+        if self.n0 < 1 or self.n0 != int(self.n0):
+            raise ModelDomainError(f"n0 must be a positive integer, got {self.n0}")
+        _check_rates(self, "beta", "gamma")
+
+
+@dataclass(frozen=True)
+class SISParams(_EpidemicParams):
     """Closed-population epidemic with reinfection: states are infectious counts."""
 
-    n0: int
-    beta: float
-    gamma: float
-
-    def __post_init__(self):
-        if self.n0 < 1 or self.n0 != int(self.n0):
-            raise ModelDomainError(f"n0 must be a positive integer, got {self.n0}")
-        if self.beta < 0 or self.gamma < 0:
-            raise ModelDomainError(f"rates must be >= 0, got {self}")
-
 
 @dataclass(frozen=True)
-class SIRParams:
+class SIRParams(_EpidemicParams):
     """Closed-population epidemic with removal; infection rate beta*S*I, removal gamma*I."""
-
-    n0: int
-    beta: float
-    gamma: float
-
-    def __post_init__(self):
-        if self.n0 < 1 or self.n0 != int(self.n0):
-            raise ModelDomainError(f"n0 must be a positive integer, got {self.n0}")
-        if self.beta < 0 or self.gamma < 0:
-            raise ModelDomainError(f"rates must be >= 0, got {self}")
 
 
 def lbdi_model(params: LBDIParams) -> BirthDeathModel:

@@ -15,8 +15,8 @@ length into power-of-two width classes (small classes join the next wider
 one) and sorts each class only up to its own width;
 ``likelihood.batch_path_loglik`` weighs rows in the same classes.  The
 classes do not touch the random stream, so a seed gives the same paths
-whatever the mix of row lengths.  ``sample_skeleton`` and ``sample_bridge``
-are one-row calls of it.
+whatever the mix of row lengths.  ``sample_bridges`` draws many paths of one
+spec from one call of it.
 """
 
 from __future__ import annotations
@@ -119,48 +119,20 @@ class BridgePath:
                 raise BridgeDomainError("interior states touch a taboo bound")
 
 
-def sample_times(jumps: int, t: float, rng: RngStream) -> np.ndarray:
-    """Sorted i.i.d. uniform jump times on (0, t); exact ties trigger a redraw."""
-    if jumps < 0:
-        raise BridgeDomainError(f"jumps must be >= 0, got {jumps}")
-    if not t > 0:
-        raise BridgeDomainError(f"t must be > 0, got {t}")
-    if jumps == 0:
-        return np.empty(0)
-    while True:
-        u = rng.gen.uniform(0.0, t, jumps)
-        u.sort()
-        if u[0] > 0.0 and u[-1] < t and np.all(np.diff(u) > 0):
-            return u
+def sample_bridges(spec: BridgeSpec, n: int, rng: RngStream):
+    """``n`` uniform bridge paths of one spec, from one batch-core call.
 
-
-def _bridge_paths(spec: BridgeSpec, size: int, rng: RngStream):
-    """``size`` uniform bridge paths of one spec from one batch-core call.
-
-    Returns ``(times, states)``, each of shape (size, K + 2), laid out as in
+    Returns ``(times, states)``, each of shape (n, K + 2), laid out as in
     :class:`BridgePath`.  Raises :class:`ZeroMeasureSpace` for an empty space.
+    A row with tied jump times (see ``_draw_padded``) fails
+    :meth:`BridgePath.validate`'s strict order.
     """
     steps, dtau, _ = _draw_padded(spec.i, spec.j, spec.up_jumps, spec.t, spec.lower,
-                                  spec.upper, size, rng)
+                                  spec.upper, n, rng)
     times = np.cumsum(np.pad(dtau, ((0, 0), (1, 0))), axis=1)
     times[:, -1] = spec.t
     states = spec.i + np.cumsum(np.pad(steps, ((0, 0), (1, 1))), axis=1, dtype=np.int64)
     return times, states
-
-
-def sample_skeleton(spec: BridgeSpec, rng: RngStream) -> np.ndarray:
-    """One uniform draw from the admissible skeletons, as states omega_0..omega_K.
-
-    A one-row call of the batch core (which also draws the row's jump times).
-    Raises :class:`ZeroMeasureSpace` when the space is empty.
-    """
-    return _bridge_paths(spec, 1, rng)[1][0, :-1]
-
-
-def sample_bridge(spec: BridgeSpec, rng: RngStream) -> BridgePath:
-    """One uniform bridge path: a one-row call of the batch core."""
-    times, states = _bridge_paths(spec, 1, rng)
-    return BridgePath(times[0], states[0])
 
 
 def _width_classes(lengths: np.ndarray, cap: int):
@@ -232,9 +204,12 @@ def _draw_padded(i, j, up_jumps: int, t: float, lower, upper, size: int,
     so it never rejects.  The stream use is fixed: one uniform matrix of
     shape (rows, longest core), where row r steps down at column c iff its
     uniform is below the down-step probability, then one time matrix of
-    shape (rows, most jumps), redrawn whole on a tie.  The time draw runs on
-    width classes (see ``_width_classes``), each sorted and differenced only
-    up to its own width; a row's times depend only on its own uniforms.
+    shape (rows, most jumps).  A tie, or a time at exactly 0 (probability
+    about K**2 * 2**-54 per row), is kept: it leaves a zero-length holding
+    interval, which the likelihood weighs like any other, as it reads jumps
+    from ``steps``.  The time draw runs on width classes (see
+    ``_width_classes``), each sorted and differenced only up to its own
+    width; a row's times depend only on its own uniforms.
     """
     i = np.broadcast_to(np.asarray(i, np.int64), (size,))
     j = np.broadcast_to(np.asarray(j, np.int64), (size,))
@@ -282,31 +257,22 @@ def _draw_padded(i, j, up_jumps: int, t: float, lower, upper, size: int,
     steps[rows_up, length[rows_up]] = 1
 
     dtau = np.zeros((size, jumps_max + 1))
-    while True:
-        u = rng.gen.random((size, jumps_max))
-        collision = False
-        for width, rows in _width_classes(jumps, jumps_max):
-            if width == 0:
-                dtau[rows, 0] = t
-                continue
-            n_jumps = jumps[rows]
-            tau = u[rows, :width]
-            if n_jumps.min() < width:
-                tau[cols[:width] >= n_jumps[:, None]] = 1.0  # padding sorts last, at t
-            tau.sort(axis=1)
-            tau *= t
-            # Holding intervals: the gaps of (0, tau_1, ..., tau_K, t, ..., t).
-            gaps = dtau if isinstance(rows, slice) else np.empty((len(n_jumps), width + 1))
-            gaps[:, 0] = tau[:, 0]
-            np.subtract(tau[:, 1:], tau[:, :-1], out=gaps[:, 1:width])
-            gaps[:, width] = t - tau[:, -1]
-            # Padding gaps are exactly 0; any other zero gap is a tie or a
-            # time at 0 or t (measure zero): redraw the whole batch.
-            if np.count_nonzero(gaps == 0.0) > width * len(n_jumps) - int(n_jumps.sum()):
-                collision = True
-                break
-            if not isinstance(rows, slice):
-                dtau[rows, :width + 1] = gaps
-        if not collision:
-            break
+    u = rng.gen.random((size, jumps_max))
+    for width, rows in _width_classes(jumps, jumps_max):
+        if width == 0:
+            dtau[rows, 0] = t
+            continue
+        n_jumps = jumps[rows]
+        tau = u[rows, :width]
+        if n_jumps.min() < width:
+            tau[cols[:width] >= n_jumps[:, None]] = 1.0  # padding sorts last, at t
+        tau.sort(axis=1)
+        tau *= t
+        # Holding intervals: the gaps of (0, tau_1, ..., tau_K, t, ..., t).
+        gaps = dtau if isinstance(rows, slice) else np.empty((len(n_jumps), width + 1))
+        gaps[:, 0] = tau[:, 0]
+        np.subtract(tau[:, 1:], tau[:, :-1], out=gaps[:, 1:width])
+        gaps[:, width] = t - tau[:, -1]
+        if not isinstance(rows, slice):
+            dtau[rows, :width + 1] = gaps
     return steps, dtau, jumps

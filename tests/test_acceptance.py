@@ -21,7 +21,7 @@ from bdbridge.inference import GridSpec, SearchConfig, fit_mle
 from bdbridge.likelihood import BSet, choose_bset, estimate_pij, estimate_pij_b
 from bdbridge.models import LBDIParams, SIRParams, SISParams, lbdi_model, sis_model
 from bdbridge.reference import lbdi_transition, straight_estimate
-from bdbridge.sampler import RngStream, _draw_padded, sample_times
+from bdbridge.sampler import RngStream, _draw_padded
 
 TABLE5_CI_BETA = (0.0011, 0.0024)
 TABLE5_CI_GAMMA = (0.1624, 0.4032)
@@ -243,19 +243,18 @@ def test_criterion_8_sampler_statistics(uniformity_family):
         assert pval > 0.001, (spec, pval)
         worst_p = min(worst_p, pval)
 
-    # Sorted jump times from sample_times and from the batch core's time
-    # draw (K down steps, unbounded) follow the Beta order-statistic law.
+    # Sorted jump times from the batch core's time draw (K down steps,
+    # unbounded) follow the Beta order-statistic law.
     k_total, t_len, reps = 5, 2.0, 100_000
-    tick = RngStream(21_600)
-    scalar = np.array([sample_times(k_total, t_len, tick) for _ in range(reps)])
-    _, dtau, _ = _draw_padded(k_total, 0, 0, t_len, -np.inf, np.inf, reps, tick)
+    _, dtau, _ = _draw_padded(k_total, 0, 0, t_len, -np.inf, np.inf, reps,
+                              RngStream(21_600))
+    draws = np.cumsum(dtau, axis=1)[:, :k_total]
     ks_worst = 1.0
-    for draws in (scalar, np.cumsum(dtau, axis=1)[:, :k_total]):
-        for k in range(1, k_total + 1):
-            pval = stats.kstest(draws[:, k - 1] / t_len,
-                                stats.beta(k, k_total - k + 1).cdf).pvalue
-            assert pval > 0.001, (k, pval)
-            ks_worst = min(ks_worst, pval)
+    for k in range(1, k_total + 1):
+        pval = stats.kstest(draws[:, k - 1] / t_len,
+                            stats.beta(k, k_total - k + 1).cdf).pvalue
+        assert pval > 0.001, (k, pval)
+        ks_worst = min(ks_worst, pval)
 
     model = sis_model(SISParams(n0=30, beta=0.003, gamma=1.0))
     single = estimate_pij(model, 5, 7, 1.0, BSet(range(2, 10)), 200_000,

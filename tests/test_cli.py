@@ -319,6 +319,27 @@ def test_missing_parameter_is_usage_error(capsys):
     assert (code, out, err) == (1, "", "usage error: missing parameter 'gamma'\n")
 
 
+def test_non_numeric_parameter_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "transprob", "--model", "sis",
+                             "--params", "n0=30,beta=x,gamma=1",
+                             "--i", "5", "--j", "4", "--t", "1")
+    assert (code, out) == (1, "")
+    assert err == "usage error: bad parameter 'beta=x', value is not a number\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--i", "1", "--j", "1", "--B", "2", "--output", "{missing}/x.json"),
+    (*_FIT_ARGS, "--m", "20", "--replications", "1", "--refinements", "1",
+     "--surface-out", "{missing}/surface.csv"),
+    ("filter", "--data", "{missing}.csv", "--params", "beta=0.0016,gamma=0.2607"),
+], ids=["output", "surface-out", "data"])
+def test_unopenable_file_is_domain_error(capsys, tmp_path, argv):
+    missing = str(tmp_path / "no" / "such")
+    code, out, err = run_cli(capsys, *(a.format(missing=missing) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and missing in err
+
+
 def test_filter_takes_no_model(capsys):
     code, out, err = run_cli(capsys, *_SHIGELLA_FILTER, "--model", "sir")
     assert (code, out) == (1, "") and "usage error" in err and "--model" in err

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,15 @@ def test_param_validation():
         SISParams(0, 0.1, 1.0)
     with pytest.raises(ModelDomainError):
         SIRParams(10, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("cls", [LBDIParams, SISParams, SIRParams])
+@pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+def test_rates_must_be_finite_and_nonnegative(cls, value):
+    # The second field is a rate in each class: mu, or beta after n0.
+    first, name = (0.8, "mu") if cls is LBDIParams else (30, "beta")
+    with pytest.raises(ModelDomainError, match=f"^{name} must be finite and >= 0"):
+        cls(first, value, 1.0)
 
 
 def test_sir_reduction_rates():

@@ -19,50 +19,39 @@ from bdbridge.likelihood import batch_path_loglik
 from bdbridge.sampler import (
     BridgePath,
     RngStream,
-    _bridge_paths,
     _draw_padded,
     _log_walk_counts,
-    sample_bridge,
-    sample_skeleton,
-    sample_times,
+    sample_bridges,
 )
 
 
-def test_sample_times_empty(rng):
-    assert sample_times(0, 1.0, rng).size == 0
-
-
-def test_sample_times_sorted_strict(rng):
-    u = sample_times(50, 2.0, rng)
-    assert u[0] > 0 and u[-1] < 2.0 and np.all(np.diff(u) > 0)
-
-
-def test_sample_times_uniform_mean(rng):
-    n = 100_000
-    draws = np.array([sample_times(1, 1.0, rng)[0] for _ in range(n)])
-    assert abs(draws.mean() - 0.5) < 3.0 / math.sqrt(12 * n)
+def _skeletons(spec, n, rng):
+    """``n`` skeletons omega_0..omega_K of one spec, one per row."""
+    return sample_bridges(spec, n, rng)[1][:, :-1]
 
 
 def test_sample_times_order_statistic_law(rng):
-    # The k-th of K sorted uniforms on (0, t) is t * Beta(k, K - k + 1), for
-    # ``sample_times`` and for the batch core's time draw (K down steps).
-    reps, k_total, t = 20_000, 5, 2.0
-    scalar = np.array([sample_times(k_total, t, rng) for _ in range(reps)])
-    _, dtau, _ = _draw_padded(k_total, 0, 0, t, -np.inf, np.inf, reps, rng)
-    for draws in (scalar, np.cumsum(dtau, axis=1)[:, :k_total]):
+    # The k-th of K sorted uniforms on (0, t) is t * Beta(k, K - k + 1) for
+    # the batch core's time draw (K down steps); K = 1 is the uniform law,
+    # whose mean is also held to three standard errors.
+    t = 2.0
+    for k_total, reps in ((1, 100_000), (5, 20_000)):
+        _, dtau, _ = _draw_padded(k_total, 0, 0, t, -np.inf, np.inf, reps, rng)
+        draws = np.cumsum(dtau, axis=1)[:, :k_total] / t
+        if k_total == 1:
+            assert abs(draws.mean() - 0.5) < 3.0 / math.sqrt(12 * reps)
         for k in range(1, k_total + 1):
-            p = stats.kstest(draws[:, k - 1] / t, stats.beta(k, k_total - k + 1).cdf).pvalue
-            assert p > 0.001, (k, p)
+            p = stats.kstest(draws[:, k - 1], stats.beta(k, k_total - k + 1).cdf).pvalue
+            assert p > 0.001, (k_total, k, p)
 
 
 def test_skeleton_forced_single(rng):
     spec = BridgeSpec(i=1, j=1, up_jumps=2, lower=0, upper=3)
-    for _ in range(5):
-        assert sample_skeleton(spec, rng).tolist() == [1, 2, 1, 2, 1]
+    assert _skeletons(spec, 5, rng).tolist() == [[1, 2, 1, 2, 1]] * 5
 
 
 def test_skeleton_no_jumps(rng):
-    assert sample_skeleton(BridgeSpec(i=4, j=4, up_jumps=0), rng).tolist() == [4]
+    assert _skeletons(BridgeSpec(i=4, j=4, up_jumps=0), 3, rng).tolist() == [[4]] * 3
 
 
 def test_skeleton_narrow_long_corridor(rng):
@@ -70,7 +59,7 @@ def test_skeleton_narrow_long_corridor(rng):
     # count-driven walk takes it at once, where a shuffle would never hit it.
     spec = BridgeSpec(i=1, j=1, up_jumps=60, lower=0, upper=3)
     assert bridge_count(spec) == 1
-    assert sample_skeleton(spec, rng).tolist() == [1, 2] * 60 + [1]
+    assert _skeletons(spec, 2, rng).tolist() == [[1, 2] * 60 + [1]] * 2
 
 
 def test_skeleton_count_beyond_int64():
@@ -79,7 +68,7 @@ def test_skeleton_count_beyond_int64():
     spec = BridgeSpec(i=0, j=0, up_jumps=40)
     assert bridge_count(spec) >= 1 << 63
     n = 2000
-    times, states = _bridge_paths(spec, n, RngStream(5))
+    times, states = sample_bridges(spec, n, RngStream(5))
     for row_t, row_s in zip(times, states):
         BridgePath(row_t, row_s).validate(spec)
     first_up = int(np.sum(states[:, 1] == 1))
@@ -124,7 +113,7 @@ def test_walk_table_matches_sis_counts():
 
 def test_skeleton_empty_space_errors(rng):
     with pytest.raises(ZeroMeasureSpace):
-        sample_skeleton(BridgeSpec(i=5, j=8, up_jumps=2), rng)
+        sample_bridges(BridgeSpec(i=5, j=8, up_jumps=2), 1, rng)
 
 
 def _chisquare_uniform(spec, draws, rng):
@@ -156,25 +145,24 @@ def test_skeleton_uniform_rejection_route(rng):
 
 def test_skeleton_absorbing_terminal(rng):
     spec = BridgeSpec(i=2, j=0, up_jumps=2, lower=0, upper=5)
-    for _ in range(20):
-        skel = sample_skeleton(spec, rng)
-        assert skel[0] == 2 and skel[-1] == 0
-        assert np.all(skel[1:-1] > 0)
+    skel = _skeletons(spec, 20, rng)
+    assert np.all(skel[:, 0] == 2) and np.all(skel[:, -1] == 0)
+    assert np.all(skel[:, 1:-1] > 0)
 
 
 def test_bridge_no_jump_path(rng):
-    path = sample_bridge(BridgeSpec(i=5, j=5, up_jumps=0, t=1.0), rng)
-    assert path.times.tolist() == [0.0, 1.0]
-    assert path.states.tolist() == [5, 5]
+    times, states = sample_bridges(BridgeSpec(i=5, j=5, up_jumps=0, t=1.0), 3, rng)
+    assert times.tolist() == [[0.0, 1.0]] * 3
+    assert states.tolist() == [[5, 5]] * 3
 
 
 def test_bridge_narrow_example(rng):
     spec = BridgeSpec(i=0, j=0, up_jumps=1, lower=-1, upper=2, t=1.0)
-    for _ in range(10):
-        path = sample_bridge(spec, rng)
-        assert path.states.tolist() == [0, 1, 0, 0]
-        assert 0 < path.times[1] < path.times[2] < 1.0
-        path.validate(spec)
+    times, states = sample_bridges(spec, 10, rng)
+    assert states.tolist() == [[0, 1, 0, 0]] * 10
+    assert np.all((0 < times[:, 1]) & (times[:, 1] < times[:, 2]) & (times[:, 2] < 1.0))
+    for row_t, row_s in zip(times, states):
+        BridgePath(row_t, row_s).validate(spec)
 
 
 def test_bridge_invariants_across_specs(rng):
@@ -185,23 +173,22 @@ def test_bridge_invariants_across_specs(rng):
         BridgeSpec(i=1, j=1, up_jumps=4, t=3.0),
     ]
     for spec in specs:
-        for _ in range(40):
-            sample_bridge(spec, rng).validate(spec)
+        for row_t, row_s in zip(*sample_bridges(spec, 40, rng)):
+            BridgePath(row_t, row_s).validate(spec)
 
 
 def test_determinism_fixed_stream():
-    a = [sample_bridge(BridgeSpec(i=2, j=4, up_jumps=4, lower=0, upper=9),
-                       RngStream(99, 5)) for _ in range(3)]
-    b = [sample_bridge(BridgeSpec(i=2, j=4, up_jumps=4, lower=0, upper=9),
-                       RngStream(99, 5)) for _ in range(3)]
-    for pa, pb in zip(a, b):
-        assert pa.times.tolist() == pb.times.tolist()
-        assert pa.states.tolist() == pb.states.tolist()
+    spec = BridgeSpec(i=2, j=4, up_jumps=4, lower=0, upper=9)
+    a = sample_bridges(spec, 3, RngStream(99, 5))
+    b = sample_bridges(spec, 3, RngStream(99, 5))
+    for xa, xb in zip(a, b):
+        np.testing.assert_array_equal(xa, xb)
 
 
 def test_distinct_streams_differ():
-    a = sample_times(20, 1.0, RngStream(7, 0))
-    b = sample_times(20, 1.0, RngStream(7, 1))
+    spec = BridgeSpec(i=20, j=0, up_jumps=0)
+    a, _ = sample_bridges(spec, 3, RngStream(7, 0))
+    b, _ = sample_bridges(spec, 3, RngStream(7, 1))
     assert not np.array_equal(a, b)
 
 
@@ -431,19 +418,28 @@ class _CollideOnceGen:
         return u
 
 
-@pytest.mark.parametrize("collide", [
-    lambda u: u.__setitem__((1, 2), u[1, 0]),   # two equal jump times
-    lambda u: u.__setitem__((0, 1), 0.0),       # a jump at time 0
-])
-def test_batch_time_draw_redraws_collisions(collide):
-    # No row is rejected, so the second matrix is the first jump-time draw.
+@pytest.mark.parametrize("collide, row", [
+    (lambda u: u.__setitem__((1, 2), u[1, 0]), 1),   # two equal jump times
+    (lambda u: u.__setitem__((0, 1), 0.0), 0),       # a jump at time 0
+], ids=["tie", "at_zero"])
+def test_batch_time_draw_keeps_ties(collide, row, lbdi_table_model, path_loglik):
+    # The second matrix is the jump-time draw.  Its tie is kept as a
+    # zero-length holding interval, which the batch likelihood weighs as the
+    # jump-by-jump reference does.
     stub = _CollideOnceGen(collide, at=2)
-    steps, dtau, jumps = _draw_padded(np.array([4, 9]), np.array([1, 2]), 0, 1.0,
-                                      -np.inf, np.inf, 2, SimpleNamespace(gen=stub))
-    assert stub.calls == 3
+    start, t = np.array([4, 9]), 1.0
+    steps, dtau, jumps = _draw_padded(start, np.array([1, 2]), 0, t, -np.inf, np.inf,
+                                      2, SimpleNamespace(gen=stub))
+    assert stub.calls == 2
     assert jumps.tolist() == [3, 7]
+    assert np.count_nonzero(dtau[row, :jumps[row] + 1] == 0.0) == 1
+    ll = batch_path_loglik(lbdi_table_model, start, steps, dtau)
     for r, k in enumerate(jumps):
-        assert np.all(dtau[r, :k + 1] > 0) and np.all(dtau[r, k + 1:] == 0)
+        states = start[r] + np.concatenate([[0], np.cumsum(steps[r, :k])])
+        taus = np.concatenate([[0.0], np.cumsum(dtau[r])[:k], [t]])
+        path = BridgePath(taus, np.append(states, states[-1]))
+        assert np.isfinite(ll[r])
+        assert ll[r] == pytest.approx(path_loglik(lbdi_table_model, path), rel=1e-12)
 
 
 def _pinned_cases():
