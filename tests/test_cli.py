@@ -1,10 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bdbridge
 from bdbridge.cli import _dump_json, load_observations, load_shigellosis, main, shigellosis_path
 from bdbridge.errors import DataFormatError
 from bdbridge.models import LBDIParams
@@ -325,6 +330,34 @@ def test_non_numeric_parameter_is_usage_error(capsys):
                              "--i", "5", "--j", "4", "--t", "1")
     assert (code, out) == (1, "")
     assert err == "usage error: bad parameter 'beta=x', value is not a number\n"
+
+
+@pytest.mark.parametrize("model, field, params", [
+    ("sis", "n0", "n0={},beta=0.003,gamma=1"),
+    ("sir", "n0", "n0={},beta=0.003,gamma=1,s0=25"),
+    ("sir", "s0", "n0=30,beta=0.003,gamma=1,s0={}"),
+], ids=["sis-n0", "sir-n0", "sir-s0"])
+@pytest.mark.parametrize("value", ["inf", "nan", "2.5"])
+def test_population_must_be_whole_number(capsys, model, field, params, value):
+    code, out, err = run_cli(capsys, "transprob", "--model", model,
+                             "--params", params.format(value),
+                             "--i", "5", "--j", "4", "--t", "1", "--n", "100")
+    assert (code, out) == (2, "")
+    assert err == f"error: {field} must be a finite whole number, got {value}\n"
+
+
+def test_closed_stdout_exits_quietly():
+    # A reader that stops after the header (``| head -1``) closes the pipe
+    # while the command still writes: exit 141 (128 + SIGPIPE), no message.
+    env = {**os.environ, "PYTHONPATH": str(Path(bdbridge.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bdbridge.cli", "sample", "--i", "5", "--j", "3",
+         "--B", "500", "--n", "2000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"replicate_id,k,tau_k,omega_k\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=120), err) == (141, b"")
 
 
 @pytest.mark.parametrize("argv", [
