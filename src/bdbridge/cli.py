@@ -27,7 +27,7 @@ from importlib import resources
 import numpy as np
 
 from . import filters, inference, likelihood, models, reference
-from .counting import BridgeSpec, bridge_count, log_bridge_density
+from .counting import BridgeSpec, bridge_count, log_simplex_density
 from .errors import CapacityError, DataFormatError, ModelDomainError, ZeroMeasureSpace
 from .sampler import RngStream, sample_bridges
 
@@ -184,8 +184,9 @@ def load_observations(path) -> filters.Observations:
             s_val = float(row[1])
         except (ValueError, IndexError) as exc:
             raise DataFormatError(f"{path}: malformed row {k}: {row}") from exc
-        if s_val != int(s_val):
-            raise DataFormatError(f"{path}: non-integer susceptible count in row {k}")
+        if not (math.isfinite(s_val) and s_val == int(s_val)):
+            raise DataFormatError(f"{path}: susceptible count in row {k} is not a finite "
+                                  f"integer: {row[1]}")
         times.append(t_val)
         sus.append(int(s_val))
     return filters.Observations(np.array(times), np.array(sus))
@@ -216,6 +217,13 @@ def _write_csv(path, header, rows):
             ])
 
 
+def _grid_rows(beta_grid, gamma_grid, *cells) -> list[tuple]:
+    """One CSV row per grid point, beta outermost: beta, gamma, then the
+    point's value in each (n_beta, n_gamma) array of ``cells``."""
+    return [(float(beta), float(gamma), *(cell[a, b] for cell in cells))
+            for a, beta in enumerate(beta_grid) for b, gamma in enumerate(gamma_grid)]
+
+
 def _emit(path, result: dict):
     with _sink(path) as out:
         print(_dump_json(result), file=out)
@@ -229,10 +237,7 @@ def _bridge_spec(args) -> BridgeSpec:
 def _cmd_count(args):
     spec = _bridge_spec(args)
     n = bridge_count(spec)
-    try:
-        log_density = log_bridge_density(spec)
-    except ZeroMeasureSpace:
-        log_density = None
+    log_density = log_simplex_density(spec.jumps, spec.t) - math.log(n) if n > 0 else None
     _emit(args.output, {
         "i": spec.i, "j": spec.j, "up_jumps": spec.up_jumps, "t": spec.t,
         "lower": spec.lower, "upper": spec.upper,
@@ -297,8 +302,7 @@ def _cmd_simulate(args):
 def _cmd_filter(args):
     obs = load_observations(args.data)
     params_in = _parse_params(args.params)
-    n0 = (_whole_number(params_in, "n0") if "n0" in params_in
-          else int(obs.susceptibles[0]) + args.i0)
+    n0 = _whole_number(params_in, "n0") if "n0" in params_in else obs.population(args.i0)
     params = models.SIRParams(n0=n0, beta=params_in["beta"], gamma=params_in["gamma"])
     rng = RngStream(args.seed)
     trace: list = []
@@ -319,13 +323,8 @@ def _cmd_scan_failure(args):
         _parse_range(args.gamma_range).values(),
         args.particles, (0.001, 0.0001), rng, i0=args.i0,
     )
-    rows = []
-    for a, beta in enumerate(scan.beta_grid):
-        for b, gamma in enumerate(scan.gamma_grid):
-            rows.append((
-                float(beta), float(gamma), float(scan.survival_min[a, b]),
-                int(scan.failed[0, a, b]), int(scan.failed[1, a, b]),
-            ))
+    rows = _grid_rows(scan.beta_grid, scan.gamma_grid, scan.survival_min,
+                      *scan.failed.astype(int))
     _write_csv(args.output, ["beta", "gamma", "survival_min", "failed_0p1", "failed_0p01"], rows)
 
 
@@ -341,13 +340,9 @@ def _cmd_fit(args):
     rng = RngStream(args.seed)
     fit = inference.fit_mle(obs, config, args.m, rng, i0=args.i0)
     if args.surface_out:
-        rows = []
-        for a, beta in enumerate(fit.surface.beta_grid):
-            for b, gamma in enumerate(fit.surface.gamma_grid):
-                rows.append((float(beta), float(gamma),
-                             float(fit.surface.mean[a, b]),
-                             float(fit.surface.spread[a, b])))
-        _write_csv(args.surface_out, ["beta", "gamma", "loglik", "loglik_sd"], rows)
+        surf = fit.surface
+        _write_csv(args.surface_out, ["beta", "gamma", "loglik", "loglik_sd"],
+                   _grid_rows(surf.beta_grid, surf.gamma_grid, surf.mean, surf.spread))
     _emit(args.output, {
         "beta_hat": fit.beta_hat, "gamma_hat": fit.gamma_hat,
         "ci_beta": list(fit.ci_beta), "ci_gamma": list(fit.ci_gamma),

@@ -112,28 +112,28 @@ class BridgeSpec:
         return self.upper != POS_INF and self.j == self.upper
 
 
-def _comb0(n: int, m) -> int:
-    """Binomial coefficient with the convention C(n, m) = 0 outside 0 <= m <= n."""
-    if m < 0 or m > n:
-        return 0
-    return math.comb(n, int(m))
-
-
-def _class_sum(jumps: int, x: int, width: int) -> int:
-    """Sum of C(jumps, y) over 0 <= y <= jumps with y = x (mod width)."""
-    return sum(math.comb(jumps, y) for y in range(x % width, jumps + 1, width))
+def _class_sum(jumps: int, x, width) -> int:
+    """Sum of C(jumps, y) over 0 <= y <= jumps with y = x (mod width); an
+    infinite width leaves the one term.  After the first member the terms come
+    from the running binomial C(K, y + 1) = C(K, y)(K - y)/(y + 1)."""
+    if width == POS_INF:
+        return math.comb(jumps, x) if 0 <= x <= jumps else 0
+    first = x % width
+    total = term = math.comb(jumps, first)
+    for y in range(first, jumps - (jumps - first) % width):
+        term = term * (jumps - y) // (y + 1)
+        if (y + 1 - first) % width == 0:
+            total += term
+    return total
 
 
 def _strict_count(jumps: int, ups: int, j: int, lower, upper) -> int:
     """Number of walks of ``jumps`` steps, ``ups`` of them up, that end at
-    ``j`` and never touch ``lower`` or ``upper``, by the reflection principle."""
-    if lower == NEG_INF and upper == POS_INF:
-        return _comb0(jumps, ups)
-    if lower == NEG_INF or upper == POS_INF:
-        bound = int(upper if lower == NEG_INF else lower)
-        return _comb0(jumps, ups) - _comb0(jumps, ups - j + bound)
-    width = int(upper - lower)
-    return _class_sum(jumps, ups, width) - _class_sum(jumps, ups - j + int(lower), width)
+    ``j`` and never touch ``lower`` or ``upper``, by the reflection principle;
+    the mirror class sits at the lower bound, else at the upper one."""
+    width = upper - lower
+    bound = upper if lower == NEG_INF else lower
+    return _class_sum(jumps, ups, width) - _class_sum(jumps, ups - j + bound, width)
 
 
 def _core(jumps, ups, j, lower, upper):

@@ -79,6 +79,10 @@ class Observations:
     def drops(self) -> np.ndarray:
         return -np.diff(self.susceptibles)
 
+    def population(self, i0: int) -> int:
+        """Total population n0: the first susceptible count plus ``i0`` infectious."""
+        return int(self.susceptibles[0]) + i0
+
 
 @dataclass
 class FilterState:
@@ -287,7 +291,7 @@ def failure_domain_scan(obs: Observations, beta_grid, gamma_grid,
     beta_grid = np.asarray(beta_grid, float)
     gamma_grid = np.asarray(gamma_grid, float)
     thresholds = tuple(float(x) for x in thresholds)
-    n0 = int(obs.susceptibles[0]) + i0
+    n0 = obs.population(i0)
     survival_min = np.empty((len(beta_grid), len(gamma_grid)))
     failed = np.zeros((len(thresholds), len(beta_grid), len(gamma_grid)), bool)
     for a, beta in enumerate(beta_grid):

@@ -1,10 +1,11 @@
 """Maximum likelihood for the contact and removal rates from susceptible records.
 
 The likelihood surface is Monte Carlo, so every cell is averaged over several
-independently seeded filter runs before any argmax is taken, and the search is
-a coarse-to-fine grid refinement rather than a gradient method.  Confidence
-intervals come from profile likelihoods with the usual chi-square(1) 95% drop
-of 1.92, interpolated linearly between grid points.
+independently seeded filter runs before any argmax is taken.  The search is a
+coarse-to-fine grid: level 0 is the configured grid, and each later level puts
+``steps`` points over 1.5 cells of the level before either side of the running
+best, clipped to the configured range.  Profile-likelihood intervals on level 0
+use the chi-square(1) 95% drop of 1.92, interpolated linearly between points.
 """
 
 from __future__ import annotations
@@ -46,6 +47,12 @@ class GridSpec:
     def values(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.steps)
 
+    def window(self, grid: np.ndarray, centre: float) -> np.ndarray:
+        """``steps`` points, 1.5 cells of ``grid`` either side of ``centre``, in range."""
+        cell = (grid[1] - grid[0]) if len(grid) > 1 else (self.hi - self.lo)
+        return np.linspace(max(centre - 1.5 * cell, self.lo),
+                           min(centre + 1.5 * cell, self.hi), self.steps)
+
 
 @dataclass
 class SearchConfig:
@@ -58,8 +65,9 @@ class SearchConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
+        for name in ("refinements", "replications", "threads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -113,8 +121,7 @@ def loglik_surface(obs: Observations, beta_grid, gamma_grid, m: int,
         raise ValueError(f"threads must be >= 1, got {threads}")
     beta_grid = np.asarray(beta_grid, float)
     gamma_grid = np.asarray(gamma_grid, float)
-    n0 = int(obs.susceptibles[0]) + i0
-    jobs = [(obs, n0, float(beta), float(gamma), i0, m,
+    jobs = [(obs, obs.population(i0), float(beta), float(gamma), i0, m,
              [rng.child(a, b, r) for r in range(replications)])
             for a, beta in enumerate(beta_grid) for b, gamma in enumerate(gamma_grid)]
     if threads > 1 and len(jobs) > 1:
@@ -134,80 +141,60 @@ def _profile_interval(grid: np.ndarray, profile: np.ndarray,
 
     Returns ``(lo, hi, lo_at_edge, hi_at_edge)``.  An end whose side of the
     profile never drops below the cutoff is the grid edge and is flagged: the
-    interval runs on past the searched range.
+    interval runs on past the searched range.  A -inf neighbour is an end.
     """
-    finite = np.isfinite(profile)
-    if not finite.any():
+    if not np.isfinite(profile).any():
         return float("nan"), float("nan"), False, False
-    k_max = int(np.nanargmax(np.where(finite, profile, -np.inf)))
+    k_max = int(np.argmax(profile))
     cutoff = profile[k_max] - drop
-    lo, lo_at_edge = grid[0], True
-    for k in range(k_max, 0, -1):
-        if not np.isfinite(profile[k - 1]) or profile[k - 1] < cutoff:
-            frac = ((profile[k] - cutoff) / (profile[k] - profile[k - 1])
-                    if np.isfinite(profile[k - 1]) else 1.0)
-            lo, lo_at_edge = grid[k] - frac * (grid[k] - grid[k - 1]), False
-            break
-    hi, hi_at_edge = grid[-1], True
-    for k in range(k_max, len(grid) - 1):
-        if not np.isfinite(profile[k + 1]) or profile[k + 1] < cutoff:
-            frac = ((profile[k] - cutoff) / (profile[k] - profile[k + 1])
-                    if np.isfinite(profile[k + 1]) else 1.0)
-            hi, hi_at_edge = grid[k] + frac * (grid[k + 1] - grid[k]), False
-            break
-    return float(lo), float(hi), lo_at_edge, hi_at_edge
+
+    def walk(step: int) -> tuple[float, bool]:
+        k = k_max
+        while 0 <= k + step < len(grid):
+            nxt = profile[k + step]
+            if not np.isfinite(nxt) or nxt < cutoff:
+                frac = (profile[k] - cutoff) / (profile[k] - nxt) if np.isfinite(nxt) else 1.0
+                return float(grid[k] + frac * (grid[k + step] - grid[k])), False
+            k += step
+        return float(grid[k]), True
+
+    (lo, lo_at_edge), (hi, hi_at_edge) = walk(-1), walk(+1)
+    return lo, hi, lo_at_edge, hi_at_edge
 
 
 def fit_mle(obs: Observations, config: SearchConfig, m: int, rng: RngStream,
             i0: int = 1) -> FitResult:
     """Coarse-to-fine grid maximum likelihood with profile intervals.
 
-    The top-level surface spans the full configured ranges and supplies the
-    confidence intervals; each refinement re-grids a window around the running
-    argmax.  An argmax on the outer boundary raises a warning flag, and an
-    interval end that reaches the grid edge is flagged in ``ci_*_at_edge``.
+    Level 0 spans the configured ranges and supplies the intervals.  Each of
+    the ``refinements - 1`` later levels puts ``steps`` points over 1.5 cells
+    of the level before either side of the running best, clipped to the
+    configured range, and moves the best only if it beats it.  A level-0
+    argmax on the outer boundary sets ``boundary_warning``.
     """
-    beta_grid = config.beta.values()
-    gamma_grid = config.gamma.values()
-    surface0 = loglik_surface(obs, beta_grid, gamma_grid, m, rng.child(0),
-                              replications=config.replications, i0=i0,
-                              threads=config.threads)
-    if not np.isfinite(surface0.mean).any():
-        raise ValueError("log-likelihood is -inf over the whole search grid")
-    flat = np.where(np.isfinite(surface0.mean), surface0.mean, -np.inf)
-    a, b = np.unravel_index(int(np.argmax(flat)), flat.shape)
-    boundary_warning = a in (0, len(beta_grid) - 1) or b in (0, len(gamma_grid) - 1)
-    best = (float(beta_grid[a]), float(gamma_grid[b]), float(surface0.mean[a, b]))
+    beta_grid, gamma_grid = config.beta.values(), config.gamma.values()
+    best = (math.nan, math.nan, NEG_INF)
+    for level in range(config.refinements):
+        surf = loglik_surface(obs, beta_grid, gamma_grid, m, rng.child(level),
+                              replications=config.replications, i0=i0, threads=config.threads)
+        a, b = np.unravel_index(int(np.argmax(surf.mean)), surf.mean.shape)
+        if level == 0:
+            if surf.mean[a, b] == NEG_INF:
+                raise ValueError("log-likelihood is -inf over the whole search grid")
+            surface0 = surf
+            boundary_warning = a in (0, len(beta_grid) - 1) or b in (0, len(gamma_grid) - 1)
+        if surf.mean[a, b] > best[2]:
+            best = (float(beta_grid[a]), float(gamma_grid[b]), float(surf.mean[a, b]))
+        beta_grid = config.beta.window(beta_grid, best[0])
+        gamma_grid = config.gamma.window(gamma_grid, best[1])
 
-    cur_beta, cur_gamma = beta_grid, gamma_grid
-    for level in range(1, config.refinements):
-        db = (cur_beta[1] - cur_beta[0]) if len(cur_beta) > 1 else (config.beta.hi - config.beta.lo)
-        dg = (cur_gamma[1] - cur_gamma[0]) if len(cur_gamma) > 1 else (config.gamma.hi - config.gamma.lo)
-        beta_w = np.linspace(max(best[0] - 1.5 * db, config.beta.lo),
-                             min(best[0] + 1.5 * db, config.beta.hi), config.beta.steps)
-        gamma_w = np.linspace(max(best[1] - 1.5 * dg, config.gamma.lo),
-                              min(best[1] + 1.5 * dg, config.gamma.hi), config.gamma.steps)
-        surf = loglik_surface(obs, beta_w, gamma_w, m, rng.child(level),
-                              replications=config.replications, i0=i0,
-                              threads=config.threads)
-        flat = np.where(np.isfinite(surf.mean), surf.mean, -np.inf)
-        a, b = np.unravel_index(int(np.argmax(flat)), flat.shape)
-        if flat[a, b] > best[2]:
-            best = (float(beta_w[a]), float(gamma_w[b]), float(flat[a, b]))
-        cur_beta, cur_gamma = beta_w, gamma_w
-
-    profile_beta = np.max(np.where(np.isfinite(surface0.mean), surface0.mean, -np.inf), axis=1)
-    profile_gamma = np.max(np.where(np.isfinite(surface0.mean), surface0.mean, -np.inf), axis=0)
-    b_lo, b_hi, *beta_at_edge = _profile_interval(beta_grid, profile_beta)
-    g_lo, g_hi, *gamma_at_edge = _profile_interval(gamma_grid, profile_gamma)
+    b_lo, b_hi, *beta_at_edge = _profile_interval(surface0.beta_grid, surface0.mean.max(axis=1))
+    g_lo, g_hi, *gamma_at_edge = _profile_interval(surface0.gamma_grid, surface0.mean.max(axis=0))
     ci_beta = (min(b_lo, best[0]), max(b_hi, best[0]))
     ci_gamma = (min(g_lo, best[1]), max(g_hi, best[1]))
-
-    n0 = int(obs.susceptibles[0]) + i0
-    r0 = basic_reproduction_number(best[0], best[1], n0)
-    return FitResult(best[0], best[1], ci_beta, ci_gamma, r0, best[2],
-                     boundary_warning, surface0, tuple(beta_at_edge),
-                     tuple(gamma_at_edge))
+    r0 = basic_reproduction_number(best[0], best[1], obs.population(i0))
+    return FitResult(best[0], best[1], ci_beta, ci_gamma, r0, best[2], boundary_warning,
+                     surface0, tuple(beta_at_edge), tuple(gamma_at_edge))
 
 
 def basic_reproduction_number(beta: float, gamma: float, n0: int) -> float:

@@ -17,6 +17,7 @@ from scipy.special import gammaln, logsumexp
 
 from .counting import check_time
 from .errors import ModelDomainError, UnsupportedCaseError
+from .likelihood import MCEstimate
 from .models import BirthDeathModel, LBDIParams, SIRReducedModel
 from .sampler import RngStream
 
@@ -170,8 +171,6 @@ def straight_estimate(model: BirthDeathModel, i: int, j: int, t: float,
 
     Returns an MCEstimate with the binomial standard error.
     """
-    from .likelihood import MCEstimate  # local import to avoid a cycle
-
     check_time(t)
     finals, _ = _terminal_states(model, i, t, n, rng)
     hits = int(np.sum(finals == j))

@@ -109,6 +109,11 @@ def test_load_observations_errors(tmp_path):
         nonfinite.write_text("time,S\n" + "".join(f"{t},9\n" for t in times.split()))
         with pytest.raises(DataFormatError, match=rf"finite \(row {row}\)"):
             load_observations(nonfinite)
+    for count in ("inf", "nan"):
+        nonfinite = tmp_path / f"s_{count}.csv"
+        nonfinite.write_text(f"time,S\n0,10\n1,{count}\n")
+        with pytest.raises(DataFormatError, match=r"s_\w+\.csv: .*row 2 is not a finite"):
+            load_observations(nonfinite)
 
 
 def test_single_row_gives_zero_loglik(tmp_path, capsys):

@@ -36,6 +36,13 @@ def test_double_reflection_case():
     assert enumerate_bridges(spec) == [[1, 2, 1, 2, 1]]
 
 
+def test_narrow_corridor_count_at_large_k():
+    # On states {1, 2, 3} each two-step excursion from 1 goes through 2 and
+    # then picks 1 or 3, so 2048 up jumps give 2^2047 skeletons.  K = 4096,
+    # and each residue class mod 4 has about a thousand members.
+    assert bridge_count(BridgeSpec(i=1, j=1, up_jumps=2048, lower=0, upper=4)) == 2**2047
+
+
 def test_infeasible_budget_is_empty():
     spec = BridgeSpec(i=5, j=8, up_jumps=2)
     assert bridge_count(spec) == 0

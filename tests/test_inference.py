@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -74,14 +75,57 @@ def test_surface_cell_errors_propagate(threads):
                        threads=threads)
 
 
-@pytest.mark.parametrize("threads", [0, -3])
-def test_nonpositive_threads_rejected(threads):
-    obs = make_obs(range(4), [198, 197, 197, 196])
-    with pytest.raises(ValueError, match="threads must be >= 1"):
-        loglik_surface(obs, [0.001], [0.2], 100, RngStream(7), threads=threads)
-    with pytest.raises(ValueError, match="threads must be >= 1"):
+@pytest.mark.parametrize("name, value", [
+    pytest.param("threads", 0, id="0"), pytest.param("threads", -3, id="-3"),
+    ("refinements", 0), ("replications", 0),
+])
+def test_nonpositive_threads_rejected(name, value):
+    message = f"{name} must be >= 1, got {value}"
+    with pytest.raises(ValueError, match=message):
         SearchConfig(beta=GridSpec(0.001, 0.002, 2), gamma=GridSpec(0.2, 0.3, 2),
-                     threads=threads)
+                     **{name: value})
+    if name != "refinements":
+        obs = make_obs(range(4), [198, 197, 197, 196])
+        with pytest.raises(ValueError, match=message):
+            loglik_surface(obs, [0.001], [0.2], 100, RngStream(7), **{name: value})
+
+
+def _digest(*values) -> str:
+    h = hashlib.sha256()
+    for value in values:
+        a = np.ascontiguousarray(value, dtype=float)
+        h.update(f"{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+#: Digests of seeded fits, recorded while ``fit_mle`` still ran level 0 and
+#: the refinements as two copies of the search step; the one loop left every
+#: output byte as it was.  Keys: grid points per parameter, levels, workers.
+PINNED_FIT = {
+    (3, 1, 1): "39d368b4b72b2fa4786a4d16d19c3aa44e0710c4a3cfb25b833c7e31b2723191",
+    (4, 2, 2): "1682d6872c6583c39b8ba89793203c4820ae6c3d01583c6eb0417268c71218ea",
+    (3, 3, 1): "aa9845eec1673b568adf2b4ab6e3edf75544b17b2d1cc5d9e9acb353e9e2917a",
+    (1, 2, 1): "2a8f264f36c523c8f73c4d93e45e9f85ec5bea858a600afed2e7e1d518a26dbe",
+}
+
+
+@pytest.mark.parametrize("steps, levels, threads", PINNED_FIT)
+def test_fit_pinned(steps, levels, threads):
+    """Seeded fit outputs are pinned; a deliberate change of the search must
+    update these digests and record the change in CHANGES.md."""
+    obs = make_obs(range(6), [198, 197, 197, 195, 194, 194])
+    if steps == 1:
+        beta, gamma = GridSpec(0.0016, 0.002, 1), GridSpec(0.26, 0.3, 1)
+    else:
+        beta, gamma = GridSpec(0.0005, 0.004, steps), GridSpec(0.1, 0.5, steps)
+    fit = fit_mle(obs, SearchConfig(beta, gamma, refinements=levels, replications=2,
+                                    threads=threads), 300, RngStream(41))
+    assert _digest([fit.beta_hat, fit.gamma_hat, fit.r0, fit.loglik_max,
+                    fit.boundary_warning], fit.ci_beta, fit.ci_gamma,
+                   fit.ci_beta_at_edge, fit.ci_gamma_at_edge,
+                   fit.surface.beta_grid, fit.surface.gamma_grid,
+                   fit.surface.mean, fit.surface.spread) == PINNED_FIT[steps, levels, threads]
 
 
 def test_profile_interval_interpolation():
