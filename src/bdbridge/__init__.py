@@ -12,7 +12,6 @@ from .counting import (
     bridge_count,
     enumerate_bridges,
     log_bridge_count,
-    log_bridge_density,
     log_simplex_density,
 )
 from .errors import (

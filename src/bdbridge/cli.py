@@ -28,7 +28,7 @@ import numpy as np
 
 from . import filters, inference, likelihood, models, reference
 from .counting import BridgeSpec, bridge_count, log_simplex_density
-from .errors import CapacityError, DataFormatError, ModelDomainError, ZeroMeasureSpace
+from .errors import CapacityError, DataFormatError, ZeroMeasureSpace
 from .sampler import RngStream, sample_bridges
 
 DEFAULT_SEED = 20240817
@@ -104,14 +104,6 @@ def _parse_params(text: str) -> dict:
     return out
 
 
-def _whole_number(params: dict, key: str) -> int:
-    """``params[key]`` as an int; anything but a finite whole number is a domain error."""
-    value = params[key]
-    if not (math.isfinite(value) and value == int(value)):
-        raise ModelDomainError(f"{key} must be a finite whole number, got {value}")
-    return int(value)
-
-
 def _build_model(name: str, params: dict):
     if name == "lbdi":
         p = models.LBDIParams(
@@ -121,15 +113,13 @@ def _build_model(name: str, params: dict):
         )
         return models.lbdi_model(p), p
     if name == "sis":
-        p = models.SISParams(n0=_whole_number(params, "n0"), beta=params["beta"],
-                             gamma=params["gamma"])
+        p = models.SISParams(n0=params["n0"], beta=params["beta"], gamma=params["gamma"])
         return models.sis_model(p), p
     if name == "sir":
-        p = models.SIRParams(n0=_whole_number(params, "n0"), beta=params["beta"],
-                             gamma=params["gamma"])
+        p = models.SIRParams(n0=params["n0"], beta=params["beta"], gamma=params["gamma"])
         if "s0" not in params:
             raise UsageError("model sir requires s0=<initial susceptibles>")
-        return models.sir_as_bd(p, _whole_number(params, "s0")), p
+        return models.sir_as_bd(p, params["s0"]), p
     raise UsageError(f"unknown model {name!r}")
 
 
@@ -168,7 +158,8 @@ def shigellosis_path() -> str:
 
 
 def load_observations(path) -> filters.Observations:
-    """Read a ``time,S`` CSV (comment lines starting with # are skipped)."""
+    """Read a ``time,S`` CSV (comment lines starting with # are skipped); every
+    :class:`DataFormatError`, those of ``filters.Observations`` too, names the file."""
     times, sus = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         rows = [r for r in csv.reader(fh)
@@ -180,16 +171,14 @@ def load_observations(path) -> filters.Observations:
         raise DataFormatError(f"{path}: expected header 'time,S', got {rows[0]}")
     for k, row in enumerate(rows[1:], start=1):
         try:
-            t_val = float(row[0])
-            s_val = float(row[1])
+            times.append(float(row[0]))
+            sus.append(float(row[1]))
         except (ValueError, IndexError) as exc:
             raise DataFormatError(f"{path}: malformed row {k}: {row}") from exc
-        if not (math.isfinite(s_val) and s_val == int(s_val)):
-            raise DataFormatError(f"{path}: susceptible count in row {k} is not a finite "
-                                  f"integer: {row[1]}")
-        times.append(t_val)
-        sus.append(int(s_val))
-    return filters.Observations(np.array(times), np.array(sus))
+    try:
+        return filters.Observations(np.array(times), np.array(sus))
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def load_shigellosis() -> filters.Observations:
@@ -302,8 +291,8 @@ def _cmd_simulate(args):
 def _cmd_filter(args):
     obs = load_observations(args.data)
     params_in = _parse_params(args.params)
-    n0 = _whole_number(params_in, "n0") if "n0" in params_in else obs.population(args.i0)
-    params = models.SIRParams(n0=n0, beta=params_in["beta"], gamma=params_in["gamma"])
+    params = models.SIRParams(n0=params_in.get("n0", obs.population(args.i0)),
+                              beta=params_in["beta"], gamma=params_in["gamma"])
     rng = RngStream(args.seed)
     trace: list = []
     loglik, final = filters.run_filter(params, obs, args.i0, args.m, rng, trace=trace)

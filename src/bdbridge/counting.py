@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BridgeDomainError, CapacityError, ZeroMeasureSpace
+from .errors import BridgeDomainError, CapacityError
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -103,14 +103,6 @@ class BridgeSpec:
     def feasible(self) -> bool:
         return self.down_jumps >= 0
 
-    @property
-    def ends_at_lower(self) -> bool:
-        return self.lower != NEG_INF and self.j == self.lower
-
-    @property
-    def ends_at_upper(self) -> bool:
-        return self.upper != POS_INF and self.j == self.upper
-
 
 def _class_sum(jumps: int, x, width) -> int:
     """Sum of C(jumps, y) over 0 <= y <= jumps with y = x (mod width); an
@@ -184,18 +176,6 @@ def log_simplex_density(jumps: int, t: float) -> float:
     if jumps == 0:
         return 0.0
     return math.lgamma(jumps + 1) - jumps * math.log(t)
-
-
-def log_bridge_density(spec: BridgeSpec) -> float:
-    """Log density of the uniform law over the restricted bridge space.
-
-    Raises :class:`ZeroMeasureSpace` when the space is empty so callers can
-    assign probability 0.
-    """
-    logn = log_bridge_count(spec)
-    if logn == NEG_INF:
-        raise ZeroMeasureSpace(f"no bridges for {spec}")
-    return log_simplex_density(spec.jumps, spec.t) - logn
 
 
 def enumerate_bridges(spec: BridgeSpec, max_jumps: int | None = 20) -> list[list[int]]:

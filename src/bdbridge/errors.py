@@ -17,7 +17,8 @@ class ZeroMeasureSpace(Exception):
 
 
 class CapacityError(OverflowError):
-    """Exact integer counting was requested beyond the configured jump limit."""
+    """A request exceeds a size limit: exact integer counting beyond its jump
+    limit, or a skeleton walk table beyond its cell limit."""
 
 
 class DataFormatError(ValueError):

@@ -42,22 +42,32 @@ POSTERIOR_TOL = 1e-12
 
 @dataclass
 class Observations:
-    """Susceptible counts at strictly increasing times; counts never increase."""
+    """Susceptible counts at strictly increasing times; counts never increase.
+
+    Counts are finite whole numbers >= 0, stored as int64.  A violation
+    raises :class:`DataFormatError` naming its row, 1-based (of a pair, the
+    later one).
+    """
 
     times: np.ndarray
     susceptibles: np.ndarray
 
     def __post_init__(self):
         self.times = np.asarray(self.times, float)
-        self.susceptibles = np.asarray(self.susceptibles, np.int64)
-        if self.times.ndim != 1 or self.times.shape != self.susceptibles.shape:
+        sus = np.asarray(self.susceptibles, float)
+        if self.times.ndim != 1 or self.times.shape != sus.shape:
             raise DataFormatError("times and susceptibles must be equal-length vectors")
         if len(self.times) < 1:
             raise DataFormatError("need at least one observation")
         if not np.all(np.isfinite(self.times)):
             k = int(np.flatnonzero(~np.isfinite(self.times))[0]) + 1
             raise DataFormatError(f"times must be finite (row {k})")
-        # Rows are reported 1-based, naming the later entry of a violating pair.
+        whole = np.isfinite(sus) & (sus == np.floor(sus))
+        if not np.all(whole):
+            k = int(np.flatnonzero(~whole)[0]) + 1
+            raise DataFormatError(f"susceptible count in row {k} is not a finite whole "
+                                  f"number, got {sus[k - 1]}")
+        self.susceptibles = sus.astype(np.int64)
         if np.any(np.diff(self.times) <= 0):
             k = int(np.flatnonzero(np.diff(self.times) <= 0)[0]) + 2
             raise DataFormatError(f"times must be strictly increasing (row {k})")
@@ -74,10 +84,6 @@ class Observations:
     @property
     def steps(self) -> int:
         return len(self.times) - 1
-
-    @property
-    def drops(self) -> np.ndarray:
-        return -np.diff(self.susceptibles)
 
     def population(self, i0: int) -> int:
         """Total population n0: the first susceptible count plus ``i0`` infectious."""
@@ -115,13 +121,14 @@ def initial_state(i0: int) -> FilterState:
 @lru_cache(maxsize=1 << 16)
 def _log_pair_count(i: int, j: int, drop: int) -> float:
     """log number of skeletons from ``i`` to ``j`` with ``drop`` up steps in
-    the filter's corridor (0, i + drop + 1).
+    the corridor (0, inf) of the filter's draws.
 
-    The count does not depend on the elapsed time, and the same pairs recur
-    across steps, filter passes and grid cells, so it is cached.
+    A path with ``drop`` up steps peaks at most at ``i + drop``, so no upper
+    bound, such as the population, can bind.  The count does not depend on
+    the elapsed time, and the same pairs recur across steps, filter passes
+    and grid cells, so it is cached.
     """
-    return log_bridge_count(BridgeSpec(i=i, j=j, up_jumps=drop, lower=0,
-                                       upper=i + drop + 1))
+    return log_bridge_count(BridgeSpec(i=i, j=j, up_jumps=drop, lower=0))
 
 
 def igbs_filter_step(state: FilterState, params: SIRParams, s_prev: int,
@@ -174,8 +181,6 @@ def igbs_filter_step(state: FilterState, params: SIRParams, s_prev: int,
     j_draws = np.minimum(
         ((rank + rng.gen.random(m)) * (i_draws + drop + 1) / n_i).astype(np.int64),
         i_draws + drop)
-    # The corridor's upper bound i + drop + 1 is out of reach (a path with
-    # drop up steps peaks at i + drop), so the draws leave it unbounded.
     steps, dtau, jumps = _draw_padded(i_draws, j_draws, drop, dt, 0, np.inf, m, rng)
     ll = batch_path_loglik(model, i_draws, steps, dtau)
 

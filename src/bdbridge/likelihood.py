@@ -100,10 +100,6 @@ class BSet:
         return iter(self.values)
 
 
-def _as_bset(bset) -> BSet:
-    return bset if isinstance(bset, BSet) else BSet(tuple(bset))
-
-
 def batch_path_loglik(model: BirthDeathModel, start, steps: np.ndarray,
                       dtau: np.ndarray) -> np.ndarray:
     """Vectorized path log-likelihoods for padded step/interval matrices.
@@ -186,39 +182,25 @@ def _combine_stats(blocks) -> MCEstimate:
     return MCEstimate(value, std_error, n, log_value)
 
 
-def _build_specs(model, i, j, t, bset: BSet):
-    """Per up-jump count: (spec, log count), or None for an empty space."""
-    specs = []
-    for up_jumps in bset:
-        spec = spec_for(model, i, j, up_jumps, t)
-        log_card = log_bridge_count(spec)
-        specs.append((spec, log_card) if log_card > NEG_INF else None)
-    return specs
+def _allocate(n: int, pilot_sd) -> list[int]:
+    """Draws per nonempty stratum, given one pilot SD per stratum.
 
-
-def _allocate(n: int, pilot_sd, live) -> list[int]:
-    """Draws per stratum; a stratum that is not ``live`` (an empty space) gets 0.
-
-    Each live stratum first gets ``_MIN_STRATUM_DRAWS``.  Of the draws left,
-    ``_FLOOR_SHARE`` is spread equally over the live strata and the rest in
-    proportion to ``pilot_sd`` (equally when it is None or all zero), rounded
-    by largest remainder.  The total is ``n``, raised to
-    ``_MIN_STRATUM_DRAWS`` per live stratum when smaller.
+    Each stratum first gets ``_MIN_STRATUM_DRAWS``.  Of the draws left,
+    ``_FLOOR_SHARE`` is spread equally over the strata and the rest in
+    proportion to ``pilot_sd`` (equally when it is all zero), rounded by
+    largest remainder.  The total is ``n``, raised to ``_MIN_STRATUM_DRAWS``
+    per stratum when smaller.
     """
-    k = sum(live)
+    k = len(pilot_sd)
     rest = max(n - _MIN_STRATUM_DRAWS * k, 0)
-    sd = [s if ok else 0.0 for s, ok in zip(pilot_sd or [1.0] * len(live), live)]
-    total = math.fsum(sd)
+    total = math.fsum(pilot_sd)
     if not (total > 0 and math.isfinite(total)):
-        sd, total = [float(ok) for ok in live], float(k)
-    target = [rest * ((_FLOOR_SHARE / k if ok else 0.0) + (1.0 - _FLOOR_SHARE) * s / total)
-              for s, ok in zip(sd, live)]
+        pilot_sd, total = [1.0] * k, float(k)
+    target = [rest * (_FLOOR_SHARE / k + (1.0 - _FLOOR_SHARE) * s / total) for s in pilot_sd]
     counts = [math.floor(x) for x in target]
-    by_remainder = sorted((p for p, ok in enumerate(live) if ok),
-                          key=lambda p: counts[p] - target[p])
-    for p in by_remainder[:rest - sum(counts)]:
+    for p in sorted(range(k), key=lambda p: counts[p] - target[p])[:rest - sum(counts)]:
         counts[p] += 1
-    return [c + _MIN_STRATUM_DRAWS if ok else 0 for c, ok in zip(counts, live)]
+    return [c + _MIN_STRATUM_DRAWS for c in counts]
 
 
 def _sum_strata(parts: list[MCEstimate]) -> MCEstimate:
@@ -236,22 +218,24 @@ def estimate_pij(model: BirthDeathModel, i: int, j: int, t: float, bset,
                  n: int, rng: RngStream, threads: int = 1) -> MCEstimate:
     """Transition probability estimate over a finite set of up-jump counts.
 
-    Stratified over the counts in ``bset``: each count with a nonempty bridge
-    space gets its own draws and the estimate is the sum of the per-count
-    means, with standard error sqrt(sum of s_B^2 / n_B).  The ``n`` draws are
-    split before any is made: 1/8 equally over the nonempty counts, the rest
-    in proportion to ``bset.pilot_sd`` (equally without it), and at least 2
-    per nonempty count, so ``n`` is raised to twice their number when smaller.
-    Empty spaces are exact zeros and get no draws.  Count ``B``'s block ``k``
-    draws from ``rng.child(_TAG_ESTIMATE, B, k)``, so fixed ``(seed, stream)``
-    give bit-identical results for any ``threads``.
+    Stratified over the counts in ``bset`` whose bridge space is nonempty:
+    one list holds each such count's spec, log count and pilot SD, and the
+    draws are allocated, made and combined over that list alone.  Empty
+    spaces are exact zeros and get no draws.  The estimate is the sum of the
+    per-count means, with standard error sqrt(sum of s_B^2 / n_B).  The
+    ``n`` draws are split before any is made: 1/8 equally over the strata,
+    the rest in proportion to ``bset.pilot_sd`` (equally without it), and at
+    least 2 per stratum, so ``n`` is raised to twice their number when
+    smaller.  Count ``B``'s block ``k`` draws from
+    ``rng.child(_TAG_ESTIMATE, B, k)``, so fixed ``(seed, stream)`` give
+    bit-identical results for any ``threads``.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     check_time(t)
-    bset = _as_bset(bset)
+    bset = bset if isinstance(bset, BSet) else BSet(tuple(bset))
     if not model.contains(i):
         raise ModelDomainError(f"start state {i} outside state space of {model.name}")
     if model.is_absorbing(i):
@@ -259,18 +243,22 @@ def estimate_pij(model: BirthDeathModel, i: int, j: int, t: float, bset,
         return MCEstimate(exact, 0.0, n, math.log(exact) if exact else NEG_INF)
     if not model.contains(j):
         return MCEstimate(0.0, 0.0, n, NEG_INF)
-    specs = _build_specs(model, i, j, t, bset)
-    live = [s is not None for s in specs]
-    if not any(live):
+    strata = []
+    for up_jumps, sd in zip(bset, bset.pilot_sd or (1.0,) * len(bset)):
+        spec = spec_for(model, i, j, up_jumps, t)
+        log_card = log_bridge_count(spec)
+        if log_card > NEG_INF:
+            strata.append((spec, log_card, sd))
+    if not strata:
         return MCEstimate(0.0, 0.0, n, NEG_INF)
 
-    counts = _allocate(n, bset.pilot_sd, live)
+    counts = _allocate(n, [sd for _, _, sd in strata])
     jobs = [(pos, block, min(BLOCK, draws - start)) for pos, draws in enumerate(counts)
             for block, start in enumerate(range(0, draws, BLOCK))]
 
     def run_block(job):
         pos, block, size = job
-        spec, log_card = specs[pos]
+        spec, log_card, _ = strata[pos]
         logw = _log_weights_block(model, spec, log_card, size,
                                   rng.child(_TAG_ESTIMATE, spec.up_jumps, block))
         return _block_stats(logw)
@@ -280,9 +268,9 @@ def estimate_pij(model: BirthDeathModel, i: int, j: int, t: float, bset,
             blocks = list(pool.map(run_block, jobs))
     else:
         blocks = [run_block(job) for job in jobs]
-    strata = [_combine_stats([b for (p, _, _), b in zip(jobs, blocks) if p == pos])
-              for pos, ok in enumerate(live) if ok]
-    return _sum_strata(strata)
+    per_stratum = [_combine_stats([b for (p, _, _), b in zip(jobs, blocks) if p == pos])
+                   for pos in range(len(strata))]
+    return _sum_strata(per_stratum)
 
 
 def estimate_pij_b(model: BirthDeathModel, i: int, j: int, t: float,
@@ -310,8 +298,7 @@ def choose_bset(i: int, j: int, model: BirthDeathModel, t: float, eps: float,
     increments: list[float] = []
     sds: list[float] = []
     total = 0.0
-    b = b_min
-    while b - b_min < _MAX_PILOT_UP_JUMPS:
+    for b in range(b_min, b_min + _MAX_PILOT_UP_JUMPS):
         est = estimate_pij_b(model, i, j, t, b, pilot_n, rng.child(_TAG_PILOT, b))
         increments.append(est.value)
         sds.append(est.std_error * math.sqrt(est.n))
@@ -319,7 +306,6 @@ def choose_bset(i: int, j: int, model: BirthDeathModel, t: float, eps: float,
         tail = increments[-3:]
         if len(increments) >= 3 and total > 0 and all(v < eps * total for v in tail):
             break
-        b += 1
     if total <= 0:
         return BSet((b_min,))
     while len(increments) > 1 and increments[-1] == 0.0:

@@ -4,6 +4,9 @@ Boundaries are metadata, not something inferred by probing rate functions:
 the sampler derives taboo bounds for bridge skeletons directly from them.
 An absorbing bound is untouchable except as a terminal state; a reflecting
 bound is an ordinary state whose outward rate is zero.
+
+Counts of individuals (``n0``, ``s0``) are stored as ints; anything but a
+finite whole number raises :class:`ModelDomainError` naming the field.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ class BirthDeathModel:
     """State-dependent birth/death rates plus boundary behaviour.
 
     ``birth`` and ``death`` are callables mapping a state (scalar or numpy
-    array) to a nonnegative rate.  ``state_cap`` optionally declares a finite
+    array) to a nonnegative rate; a subclass that overrides ``birth_rate``
+    passes ``birth=None``.  ``state_cap`` optionally declares a finite
     state-space maximum for generic models that lack an upper boundary, so a
     finite taboo bound exists for sampling.  Instances are immutable after
     construction and safe to share across parallel workers.
@@ -57,20 +61,16 @@ class BirthDeathModel:
 
     def _check_boundary_rates(self):
         # Declared semantics must agree with the rate functions at the bound.
-        if self.lower is not None:
-            kind, s = self.lower
-            b, d = float(self._birth(s)), float(self._death(s))
+        for side, bound in (("lower", self.lower), ("upper", self.upper)):
+            if bound is None:
+                continue
+            kind, s = bound
+            b, d = float(self.birth_rate(s)), float(self.death_rate(s))
+            outward, rate = ("death", d) if side == "lower" else ("birth", b)
             if kind == ABSORBING and (b != 0 or d != 0):
                 raise ModelDomainError(f"absorbing state {s} has nonzero rates ({b}, {d})")
-            if kind == REFLECTING and d != 0:
-                raise ModelDomainError(f"reflecting lower state {s} has death rate {d}")
-        if self.upper is not None:
-            kind, s = self.upper
-            b, d = float(self._birth(s)), float(self._death(s))
-            if kind == ABSORBING and (b != 0 or d != 0):
-                raise ModelDomainError(f"absorbing state {s} has nonzero rates ({b}, {d})")
-            if kind == REFLECTING and b != 0:
-                raise ModelDomainError(f"reflecting upper state {s} has birth rate {b}")
+            if kind == REFLECTING and rate != 0:
+                raise ModelDomainError(f"reflecting {side} state {s} has {outward} rate {rate}")
 
     # Raw vectorized access, used on hot paths; no domain checks.
     def birth_rate(self, state, up_count=0):
@@ -79,18 +79,10 @@ class BirthDeathModel:
     def death_rate(self, state, up_count=0):
         return self._death(state)
 
-    def min_state(self) -> float:
-        return self.lower[1] if self.lower is not None else NEG_INF
-
-    def max_state(self) -> float:
-        if self.upper is not None:
-            return self.upper[1]
-        if self.state_cap is not None:
-            return self.state_cap
-        return POS_INF
-
     def contains(self, state) -> bool:
-        return self.min_state() <= state <= self.max_state()
+        lowest = self.lower[1] if self.lower is not None else NEG_INF
+        highest = self.upper[1] if self.upper is not None else self.state_cap
+        return lowest <= state <= (POS_INF if highest is None else highest)
 
     def is_absorbing(self, state) -> bool:
         for b in (self.lower, self.upper):
@@ -131,6 +123,13 @@ class BirthDeathModel:
         return f"<BirthDeathModel {self.name}>"
 
 
+def _whole_number(name: str, value) -> int:
+    """``value`` as an int; anything but a finite whole number is a domain error."""
+    if not (math.isfinite(value) and value == int(value)):
+        raise ModelDomainError(f"{name} must be a finite whole number, got {value}")
+    return int(value)
+
+
 def _check_rates(params, *names: str) -> None:
     """Reject a rate field that is negative or not finite, naming it."""
     for name in names:
@@ -160,7 +159,8 @@ class _EpidemicParams:
     gamma: float
 
     def __post_init__(self):
-        if self.n0 < 1 or self.n0 != int(self.n0):
+        object.__setattr__(self, "n0", _whole_number("n0", self.n0))
+        if self.n0 < 1:
             raise ModelDomainError(f"n0 must be a positive integer, got {self.n0}")
         _check_rates(self, "beta", "gamma")
 
@@ -208,17 +208,18 @@ class SIRReducedModel(BirthDeathModel):
     The susceptible count is not part of the state: it is the initial value
     ``s0`` minus the number of upward jumps made so far, which the bridge
     machinery threads through as ``up_count``.  Each infection therefore sees
-    a birth rate beta * (s0 - up_count) * I.
+    a birth rate beta * (s0 - up_count) * I.  ``s0`` must be a whole number
+    in [0, n0].
     """
 
     def __init__(self, params: SIRParams, s0: int):
-        if not (0 <= s0 <= params.n0):
-            raise ModelDomainError(f"s0 must lie in [0, {params.n0}], got {s0}")
         self.params = params
-        self.s0 = int(s0)
-        beta, gamma = params.beta, params.gamma
+        self.s0 = _whole_number("s0", s0)
+        if not (0 <= self.s0 <= params.n0):
+            raise ModelDomainError(f"s0 must lie in [0, {params.n0}], got {s0}")
+        gamma = params.gamma
         super().__init__(
-            lambda y: beta * self.s0 * np.asarray(y),  # up_count = 0 default
+            None,  # birth_rate is overridden: it reads the up count
             lambda y: gamma * np.asarray(y),
             lower=(ABSORBING, 0),
             state_cap=params.n0,

@@ -26,12 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import NEG_INF, BridgeSpec, _core
-from .errors import BridgeDomainError, ZeroMeasureSpace
+from .errors import BridgeDomainError, CapacityError, ZeroMeasureSpace
 
 #: Width classes smaller than this many cells join the next wider class: a
 #: class costs a fixed number of NumPy calls, worth more than the padding
 #: cells a small class saves.
 _MIN_CLASS_CELLS = 1 << 14
+#: Most cells one walk table may hold: 128 MiB of float64, and about 415 MiB
+#: peak for a one-row draw near it.
+_MAX_TABLE_CELLS = 1 << 24
 
 
 class RngStream:
@@ -123,7 +126,8 @@ def sample_bridges(spec: BridgeSpec, n: int, rng: RngStream):
     """``n`` uniform bridge paths of one spec, from one batch-core call.
 
     Returns ``(times, states)``, each of shape (n, K + 2), laid out as in
-    :class:`BridgePath`.  Raises :class:`ZeroMeasureSpace` for an empty space.
+    :class:`BridgePath`.  Raises :class:`ZeroMeasureSpace` for an empty space
+    and :class:`CapacityError` for one too large to draw.
     A row with tied jump times (see ``_draw_padded``) fails
     :meth:`BridgePath.validate`'s strict order.
     """
@@ -194,7 +198,10 @@ def _draw_padded(i, j, up_jumps: int, t: float, lower, upper, size: int,
     Returns ``(steps, dtau, jumps)`` as matrices as wide as the longest row:
     padding steps are 0 and padding holding intervals have zero length, so
     likelihood sums ignore them.  Raises :class:`ZeroMeasureSpace`, before
-    any draw, when a row's bridge space is empty.
+    any draw, when a row's bridge space is empty, and :class:`CapacityError`,
+    before the walk table is built, when it would hold more than
+    ``_MAX_TABLE_CELLS`` cells (distinct core ends x (longest core + 1) x
+    (up_jumps + 1)).
 
     A row's core (``counting._core``) runs strictly inside the corridor; a
     row whose end state sits on a finite bound gets its forced terminal step
@@ -219,6 +226,10 @@ def _draw_padded(i, j, up_jumps: int, t: float, lower, upper, size: int,
     length, ups, core_end = _core(jumps, up_jumps, j, lower, upper)
     ends, end_row = np.unique(core_end, return_inverse=True)
     len_max = max(int(length.max()), 0) if size else 0
+    cells = len(ends) * (len_max + 1) * (up_jumps + 1)
+    if cells > _MAX_TABLE_CELLS:
+        raise CapacityError(f"walk table of {len(ends)} x {len_max + 1} x {up_jumps + 1} = "
+                            f"{cells} cells exceeds the limit of {_MAX_TABLE_CELLS}")
     log_t = _log_walk_counts(ends, len_max, up_jumps, lower, upper)
     # A negative core length or up count only arises from an infeasible
     # budget or a start state outside the corridor.

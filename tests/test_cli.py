@@ -97,12 +97,13 @@ def test_load_observations_errors(tmp_path):
         load_observations(empty)
     bad = tmp_path / "bad.csv"
     bad.write_text("time,S\n0,10\n1,12\n")
-    with pytest.raises(Exception) as exc:
+    # The row checks of Observations name the file too.
+    with pytest.raises(DataFormatError, match=r"bad\.csv: .*nonincreasing \(row 2\)"):
         load_observations(bad)
-    assert "row 2" in str(exc.value)
     frac = tmp_path / "frac.csv"
     frac.write_text("time,S\n0,10.5\n")
-    with pytest.raises(Exception):
+    with pytest.raises(DataFormatError, match=r"frac\.csv: .*row 1 is not a finite whole "
+                                              r"number, got 10\.5"):
         load_observations(frac)
     for times, row in (("0 1 inf", 3), ("0 nan 2", 2), ("-inf 1 2", 1)):
         nonfinite = tmp_path / "nonfinite.csv"

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -9,10 +10,10 @@ from bdbridge.counting import (
     bridge_count,
     enumerate_bridges,
     log_bridge_count,
-    log_bridge_density,
     log_simplex_density,
 )
-from bdbridge.errors import BridgeDomainError, CapacityError, ZeroMeasureSpace
+from bdbridge.cli import main
+from bdbridge.errors import BridgeDomainError, CapacityError
 
 INF = float("inf")
 
@@ -86,17 +87,24 @@ def test_log_simplex_density_examples():
         log_simplex_density(2, 0.0)
 
 
-def test_log_bridge_density_examples():
-    spec = BridgeSpec(i=0, j=0, up_jumps=1, lower=-1, upper=2, t=1.0)
-    assert log_bridge_density(spec) == pytest.approx(math.log(2.0))
-    assert log_bridge_density(BridgeSpec(i=5, j=5, up_jumps=0, t=1.0)) == 0.0
-    with pytest.raises(ZeroMeasureSpace):
-        log_bridge_density(BridgeSpec(i=5, j=8, up_jumps=2))
+def _count_log_density(capsys, *bridge_args):
+    """``bdbridge count``'s log density of the uniform law over one bridge space."""
+    assert main(["count", *bridge_args]) == 0
+    return json.loads(capsys.readouterr().out)["log_density"]
 
 
-def test_density_is_constant_per_spec():
-    spec = BridgeSpec(i=2, j=3, up_jumps=4, lower=0, upper=9, t=1.7)
-    assert log_bridge_density(spec) == log_bridge_density(spec)
+def test_log_bridge_density_examples(capsys):
+    log_density = _count_log_density(capsys, "--i", "0", "--j", "0", "--B", "1",
+                                     "--l", "-1", "--u", "2", "--t", "1")
+    assert log_density == pytest.approx(math.log(2.0))
+    assert _count_log_density(capsys, "--i", "5", "--j", "5", "--B", "0") == 0.0
+    # An empty space has no density.
+    assert _count_log_density(capsys, "--i", "5", "--j", "8", "--B", "2") is None
+
+
+def test_density_is_constant_per_spec(capsys):
+    args = ("--i", "2", "--j", "3", "--B", "4", "--l", "0", "--u", "9", "--t", "1.7")
+    assert _count_log_density(capsys, *args) == _count_log_density(capsys, *args)
 
 
 def test_absorbing_terminal_reduction():

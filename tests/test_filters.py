@@ -37,9 +37,15 @@ def test_observation_validation():
         make_obs([0, 1, 2], [5, 6, 3])           # susceptibles increase
     with pytest.raises(DataFormatError):
         make_obs([0, 1], [3, -1])
+    for value in (10.5, math.inf, math.nan):
+        for row, sus in ((1, [value, 9]), (2, [10, value])):
+            with pytest.raises(DataFormatError, match=f"^susceptible count in row {row} "
+                                                      f"is not a finite whole number"):
+                make_obs([0, 1], sus)
     obs = make_obs([0.0, 1.5, 4.0], [9, 9, 7])
+    assert obs.susceptibles.dtype == np.int64
     assert obs.steps == 2
-    assert obs.drops.tolist() == [0, 2]
+    assert obs.susceptibles.tolist() == [9, 9, 7]
 
 
 def test_filter_state_invariants():

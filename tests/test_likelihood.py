@@ -229,20 +229,32 @@ RARE_SIS = sis_model(SISParams(n0=30, beta=0.03, gamma=1.0))
 
 
 def test_allocation_split():
-    live = [False, True, True, True, False, True]
-    pilot_sd = (0.0, 5.0, 1e-3, 0.0, 7.0, 2.0)
-    k = sum(live)
+    pilot_sd = (5.0, 1e-3, 0.0, 2.0)
+    k = len(pilot_sd)
     for n in (1, 7, 8, 9, 1000, 12_345, 1 << 18):
-        counts = _allocate(n, pilot_sd, live)
-        assert counts == _allocate(n, pilot_sd, live)
+        counts = _allocate(n, pilot_sd)
+        assert counts == _allocate(n, pilot_sd)
         assert sum(counts) == max(n, 2 * k)
-        for c, ok in zip(counts, live):
-            assert c == 0 if not ok else c >= max(2, n // (8 * k))
-    counts = _allocate(1 << 18, pilot_sd, live)
-    assert counts[1] > counts[5] > counts[2] >= counts[3]
-    # Without pilot information, or with only exact pilots, the split is equal.
-    assert _allocate(1000, None, [True] * 4) == [250] * 4
-    assert _allocate(1000, (0.0, 0.0, 3.0), [True, True, False]) == [500, 500, 0]
+        assert all(c >= max(2, n // (8 * k)) for c in counts)
+    counts = _allocate(1 << 18, pilot_sd)
+    assert counts[0] > counts[3] > counts[1] >= counts[2]
+    # With equal pilots (no pilot information), or only exact ones, the split is equal.
+    assert _allocate(1000, (1.0,) * 4) == [250] * 4
+    assert _allocate(1000, (0.0, 0.0)) == [500, 500]
+
+
+def test_empty_strata_get_no_draws(sis_table_model):
+    # 5 -> 7 needs two up jumps: counts 0 and 1 have empty bridge spaces, so
+    # the estimate, n included, is the one over the set without them,
+    # whatever pilot SDs they carry.
+    for n in (3, 5000):
+        with_empty = estimate_pij(sis_table_model, 5, 7, 1.0,
+                                  BSet(range(0, 6), pilot_sd=(9.0, 9.0, 1.0, 2.0, 3.0, 4.0)),
+                                  n, RngStream(6))
+        without = estimate_pij(sis_table_model, 5, 7, 1.0,
+                               BSet(range(2, 6), pilot_sd=(1.0, 2.0, 3.0, 4.0)), n,
+                               RngStream(6))
+        assert with_empty == without and with_empty.value > 0
 
 
 def test_estimate_raises_n_to_two_per_stratum(sis_table_model):
@@ -273,7 +285,7 @@ def test_wrong_pilot_sd_stays_unbiased():
     exact = generator_transition(RARE_SIS, 10, 0, 1.0, n_states=30)
     bset = choose_bset(10, 0, RARE_SIS, 1.0, 1e-4, RngStream(5))
     wrong = BSet(bset.values, pilot_sd=(0.0,) * (len(bset) - 1) + (1.0,))
-    assert _allocate(4096, wrong.pilot_sd, [True] * len(bset))[0] < 4096 // len(bset)
+    assert _allocate(4096, wrong.pilot_sd)[0] < 4096 // len(bset)
     ests = [estimate_pij(RARE_SIS, 10, 0, 1.0, wrong, 4096, RngStream(seed, (3,)))
             for seed in range(120)]
     mean = statistics.fmean(e.value for e in ests)

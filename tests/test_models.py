@@ -92,6 +92,23 @@ def test_rates_must_be_finite_and_nonnegative(cls, value):
         cls(first, value, 1.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan, 2.5])
+def test_counts_must_be_whole_numbers(value):
+    message = f"^{{}} must be a finite whole number, got {value}$"
+    for cls in (SISParams, SIRParams):
+        with pytest.raises(ModelDomainError, match=message.format("n0")):
+            cls(value, 0.1, 1.0)
+    with pytest.raises(ModelDomainError, match=message.format("s0")):
+        sir_as_bd(SIRParams(n0=10, beta=0.1, gamma=1.0), s0=value)
+
+
+def test_counts_are_stored_as_ints():
+    params = SISParams(n0=30.0, beta=0.1, gamma=1.0)
+    assert params.n0 == 30 and type(params.n0) is int
+    model = sir_as_bd(SIRParams(n0=np.int64(10), beta=0.1, gamma=1.0), s0=4.0)
+    assert type(model.params.n0) is int and model.s0 == 4 and type(model.s0) is int
+
+
 def test_sir_reduction_rates():
     model = sir_as_bd(SIRParams(n0=199, beta=0.0016, gamma=0.2607), s0=198)
     # first infection sees the full susceptible pool

@@ -1,6 +1,7 @@
 import hashlib
 import math
 from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,13 +9,14 @@ import pytest
 from scipy import stats
 
 import bdbridge.sampler as sampler_module
+from bdbridge import filters
 from bdbridge.counting import (
     BridgeSpec,
     bridge_count,
     enumerate_bridges,
     log_bridge_count,
 )
-from bdbridge.errors import ZeroMeasureSpace
+from bdbridge.errors import CapacityError, ZeroMeasureSpace
 from bdbridge.likelihood import batch_path_loglik
 from bdbridge.sampler import (
     BridgePath,
@@ -97,11 +99,13 @@ def _assert_walk_table_matches_counts(specs, lower, upper):
 
 @pytest.mark.parametrize("drop", [0, 1, 2, 5, 10, 20, 40])
 def test_walk_table_matches_filter_pair_counts(drop):
-    # The filter weighs its draws by counts in (0, i + drop + 1) and draws
-    # them from a table without the upper bound, which no path can reach;
-    # j = 0 is an absorbing end.
-    specs = [BridgeSpec(i=i, j=j, up_jumps=drop, lower=0, upper=i + drop + 1)
+    # The filter counts and draws its bridges in one corridor, (0, inf);
+    # j = 0 is an absorbing end.  An upper bound at i + drop + 1, one past the
+    # highest state that drop up steps reach, leaves every count unchanged.
+    specs = [BridgeSpec(i=i, j=j, up_jumps=drop, lower=0)
              for i in range(1, 61) for j in range(i + drop + 1)]
+    assert [filters._log_pair_count(s.i, s.j, drop) for s in specs] == [
+        log_bridge_count(replace(s, upper=s.i + drop + 1)) for s in specs]
     _assert_walk_table_matches_counts(specs, 0.0, np.inf)
 
 
@@ -114,6 +118,27 @@ def test_walk_table_matches_sis_counts():
 def test_skeleton_empty_space_errors(rng):
     with pytest.raises(ZeroMeasureSpace):
         sample_bridges(BridgeSpec(i=5, j=8, up_jumps=2), 1, rng)
+
+
+class _TableBuilt(Exception):
+    pass
+
+
+def test_walk_table_capacity_limit(monkeypatch):
+    # A walk table of more than 2**24 cells raises before it is built.  One
+    # row from 5 to 3 needs 1 x 6003 x 3001 cells at B = 3000 and 1 x 5603 x
+    # 2801 at B = 2800; filter-like rows from 1 to 0..250 with 250 up steps
+    # need 250 x 501 x 251.
+    def build(*args):
+        raise _TableBuilt
+
+    monkeypatch.setattr(sampler_module, "_log_walk_counts", build)
+    with pytest.raises(CapacityError, match="walk table of 1 x 6003 x 3001"):
+        sample_bridges(BridgeSpec(i=5, j=3, up_jumps=3000), 1, RngStream(1))
+    with pytest.raises(CapacityError, match="walk table of 250 x 501 x 251"):
+        _draw_padded(1, np.arange(251), 250, 1.0, 0, np.inf, 251, RngStream(1))
+    with pytest.raises(_TableBuilt):
+        sample_bridges(BridgeSpec(i=5, j=3, up_jumps=2800), 1, RngStream(1))
 
 
 def _chisquare_uniform(spec, draws, rng):
@@ -239,7 +264,7 @@ def test_batch_draw_uniform_sweep(uniformity_family, rng):
             observed = ((steps[a:b, :spec.jumps] > 0) @ bits == codes[:, None]).sum(axis=1)
             assert observed.sum() == b - a, spec
             p_values.append(stats.chisquare(observed).pvalue)
-    assert any(s.ends_at_upper for s in specs) and any(s.ends_at_lower for s in specs)
+    assert any(s.j == s.upper for s in specs) and any(s.j == s.lower for s in specs)
     assert sum(len({(s.i, s.j) for s in group}) > 1 for group in calls.values()) >= 10
     assert min(p_values) * len(specs) > 0.001, min(p_values)
 
@@ -381,8 +406,8 @@ def _check_mixed_rows(rng, model, path_loglik):
     dtau = np.vstack([_pad_columns(d[3], width + 1) for d in draws])
     assert np.any(jumps == 0)
     assert len({int(k - 1).bit_length() for k in jumps[jumps > 0]}) >= 4
-    ends_low = np.array([s.ends_at_lower for s in specs])
-    ends_up = np.array([s.ends_at_upper for s in specs])
+    ends_low = np.array([s.j == s.lower for s in specs])
+    ends_up = np.array([s.j == s.upper for s in specs])
     assert np.any(ends_low & (start == 1) & (jumps == 1)) and np.any(ends_low & (jumps > 1))
     assert np.any(ends_up & (jumps == 1)) and np.any(ends_up & (jumps > 1))
     ll = batch_path_loglik(model, start, steps, dtau)
