@@ -10,7 +10,6 @@ counts.
 from .counting import (
     BridgeSpec,
     bridge_count,
-    enumerate_bridges,
     log_bridge_count,
     log_simplex_density,
 )
@@ -69,6 +68,6 @@ from .reference import (
     lbdi_transition,
     straight_estimate,
 )
-from .sampler import BridgePath, RngStream, sample_bridges
+from .sampler import RngStream, sample_bridges
 
 __version__ = "0.1.0"

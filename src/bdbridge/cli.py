@@ -273,7 +273,7 @@ def _cmd_transprob(args):
     _emit(args.output, {
         "method": args.method, "model": args.model, "i": args.i, "j": args.j,
         "t": args.t, "n": est.n, "value": est.value, "std_error": est.std_error,
-        "log_value": est.log_value,
+        "log_value": est.log_value, "log_std_error": est.log_std_error,
         "bset": list(bset) if bset is not None else None,
         "seed": args.seed, "threads": args.threads,
     })

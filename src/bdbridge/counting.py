@@ -15,7 +15,7 @@ x = u - j + lower (mod w).
 When the end state sits exactly on an absorbing bound, the path must stay
 strictly inside the corridor up to its penultimate step and hit the bound with
 its final jump.  ``_core`` reduces it to a strict-interior bridge one step
-shorter; counting, enumeration and the sampler all use it.
+shorter; counting and the sampler both use it.
 
 Counts are exact integers, and ``log_bridge_count`` is their log.  The
 skeleton sampler (``sampler._draw_padded``) needs the same numbers for every
@@ -176,54 +176,3 @@ def log_simplex_density(jumps: int, t: float) -> float:
     if jumps == 0:
         return 0.0
     return math.lgamma(jumps + 1) - jumps * math.log(t)
-
-
-def enumerate_bridges(spec: BridgeSpec, max_jumps: int | None = 20) -> list[list[int]]:
-    """All skeletons of the spec, as state sequences of length K + 1.
-
-    Brute-force depth-first generation using only step budgets and the taboo
-    bounds for pruning; independent of the reflection sums of
-    :func:`bridge_count` (it shares only ``_core``) so it can serve as their
-    oracle.  Refuses specs above ``max_jumps`` unless the limit is passed as
-    None.
-    """
-    if not spec.feasible:
-        return []
-    if max_jumps is not None and spec.jumps > max_jumps:
-        raise BridgeDomainError(
-            f"enumeration limited to {max_jumps} jumps, got {spec.jumps}"
-        )
-    lower, upper = spec.lower, spec.upper
-    jumps, ups, j_eff = _core(spec.jumps, spec.up_jumps, spec.j, lower, upper)
-    downs = jumps - ups
-    if ups < 0 or downs < 0:
-        return []
-    i = spec.i
-    paths: list[list[int]] = []
-    prefix = [i]
-
-    def rec(state: int, ups_left: int, downs_left: int) -> None:
-        if ups_left == 0 and downs_left == 0:
-            paths.append(prefix.copy())
-            return
-        for step, u2, d2 in ((-1, ups_left, downs_left - 1), (1, ups_left - 1, downs_left)):
-            ns = state + step
-            if d2 < 0 or u2 < 0:
-                continue
-            if not (lower < ns < upper):
-                continue
-            if u2 < j_eff - ns or d2 < ns - j_eff:
-                continue
-            prefix.append(ns)
-            rec(ns, u2, d2)
-            prefix.pop()
-
-    if jumps == 0:
-        if i == j_eff:
-            paths.append([i])
-    else:
-        rec(i, ups, downs)
-    if j_eff != spec.j:
-        for p in paths:
-            p.append(spec.j)
-    return paths

@@ -21,12 +21,10 @@ spec from one call of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .counting import NEG_INF, BridgeSpec, _core
-from .errors import BridgeDomainError, CapacityError, ZeroMeasureSpace
+from .errors import CapacityError, ZeroMeasureSpace
 
 #: Width classes smaller than this many cells join the next wider class: a
 #: class costs a fixed number of NumPy calls, worth more than the padding
@@ -70,66 +68,16 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
-@dataclass
-class BridgePath:
-    """A decomposed bridge: jump epochs and visited states.
-
-    ``times`` runs 0 = tau_0 < tau_1 < ... < tau_K < tau_{K+1} = t and
-    ``states`` holds the start state, the K post-jump states, and the end
-    state repeated (the process sits at the end state after its last jump).
-    """
-
-    times: np.ndarray
-    states: np.ndarray
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.states = np.asarray(self.states, dtype=np.int64)
-
-    @property
-    def jumps(self) -> int:
-        return len(self.times) - 2
-
-    @property
-    def up_jumps(self) -> int:
-        return int(np.sum(np.diff(self.states[:-1]) == 1))
-
-    def validate(self, spec: BridgeSpec | None = None) -> None:
-        if self.times.shape != self.states.shape or len(self.times) < 2:
-            raise BridgeDomainError("times and states must share a length >= 2")
-        if self.times[0] != 0.0 or not np.all(np.diff(self.times[:-1]) > 0):
-            raise BridgeDomainError("jump times must be strictly increasing from 0")
-        if self.jumps > 0 and self.times[-2] >= self.times[-1]:
-            raise BridgeDomainError("last jump must precede the horizon")
-        if self.states[-1] != self.states[-2]:
-            raise BridgeDomainError("state after the last jump must repeat the end state")
-        steps = np.diff(self.states[:-1])
-        if self.jumps > 0 and not np.all(np.abs(steps) == 1):
-            raise BridgeDomainError("consecutive states must differ by exactly 1")
-        if spec is not None:
-            if self.jumps != spec.jumps:
-                raise BridgeDomainError("jump count does not match the spec")
-            if self.states[0] != spec.i or self.states[-1] != spec.j:
-                raise BridgeDomainError("endpoints do not match the spec")
-            if self.up_jumps != spec.up_jumps:
-                raise BridgeDomainError("up-jump count does not match the spec")
-            if self.times[-1] != spec.t:
-                raise BridgeDomainError("horizon does not match the spec")
-            interior = self.states[1:-2] if spec.jumps > 0 else self.states[:0]
-            if interior.size and not np.all(
-                (interior > spec.lower) & (interior < spec.upper)
-            ):
-                raise BridgeDomainError("interior states touch a taboo bound")
-
-
 def sample_bridges(spec: BridgeSpec, n: int, rng: RngStream):
     """``n`` uniform bridge paths of one spec, from one batch-core call.
 
-    Returns ``(times, states)``, each of shape (n, K + 2), laid out as in
-    :class:`BridgePath`.  Raises :class:`ZeroMeasureSpace` for an empty space
-    and :class:`CapacityError` for one too large to draw.
-    A row with tied jump times (see ``_draw_padded``) fails
-    :meth:`BridgePath.validate`'s strict order.
+    Returns ``(times, states)``, each of shape (n, K + 2).  A row's times run
+    0 = tau_0 <= tau_1 <= ... <= tau_K <= tau_{K+1} = t, and its states hold
+    the start state, the K post-jump states, and the end state repeated (the
+    process sits there after its last jump).  Raises
+    :class:`ZeroMeasureSpace` for an empty space and :class:`CapacityError`
+    for one too large to draw.  Jump times tie (see ``_draw_padded``) with
+    probability about K**2 * 2**-54 per row.
     """
     steps, dtau, _ = _draw_padded(spec.i, spec.j, spec.up_jumps, spec.t, spec.lower,
                                   spec.upper, n, rng)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import stats
 
 from bdbridge.cli import load_shigellosis
-from bdbridge.counting import BridgeSpec, bridge_count, enumerate_bridges
+from bdbridge.counting import BridgeSpec, bridge_count
 from bdbridge.errors import BridgeDomainError
 from bdbridge.filters import bootstrap_filter, igbs_filter_loglik
 from bdbridge.inference import GridSpec, SearchConfig, fit_mle
@@ -22,6 +22,7 @@ from bdbridge.likelihood import BSet, choose_bset, estimate_pij, estimate_pij_b
 from bdbridge.models import LBDIParams, SIRParams, SISParams, lbdi_model, sis_model
 from bdbridge.reference import lbdi_transition, straight_estimate
 from bdbridge.sampler import RngStream, _draw_padded
+from conftest import enumerate_bridges
 
 TABLE5_CI_BETA = (0.0011, 0.0024)
 TABLE5_CI_GAMMA = (0.1624, 0.4032)

@@ -14,7 +14,7 @@ from bdbridge.cli import _dump_json, load_observations, load_shigellosis, main, 
 from bdbridge.errors import DataFormatError
 from bdbridge.models import LBDIParams
 from bdbridge.reference import SimPath, lbdi_transition
-from bdbridge.sampler import BridgePath
+from conftest import BridgePath
 
 SHIGELLA_S = [198, 198, 198, 198, 198, 197, 197, 197, 197, 196, 195, 190, 189,
               186, 186, 184, 181, 177, 170, 166, 163, 161, 160, 160, 160, 160,
@@ -163,6 +163,18 @@ def test_transprob_igbs_near_closed(capsys):
     truth = lbdi_transition(LBDIParams(0.8, 0.6, 1.2), 5, 3, 1.0)
     assert abs(payload["value"] - truth) <= 4 * payload["std_error"]
     assert payload["bset"][0] == 0
+    assert payload["log_std_error"] == pytest.approx(math.log(payload["std_error"]))
+
+
+def test_transprob_std_error_below_float_range(capsys):
+    # log p is about -2072: value and std_error underflow to 0, their logs do not.
+    code, out, _ = run_cli(capsys, "transprob", "--model", "sis",
+                           "--params", "n0=300,beta=0.0015,gamma=1", "--i", "300",
+                           "--j", "0", "--t", "0.001", "--n", "2000", "--seed", "2")
+    payload = json.loads(out)
+    assert code == 0 and payload["value"] == 0.0 and payload["std_error"] == 0.0
+    assert -2080 < payload["log_value"] < -2060
+    assert payload["log_std_error"] < payload["log_value"] - 3
 
 
 def test_transprob_straight_method(capsys):

@@ -5,15 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdbridge.counting import (
-    BridgeSpec,
-    bridge_count,
-    enumerate_bridges,
-    log_bridge_count,
-    log_simplex_density,
-)
+from bdbridge.counting import BridgeSpec, bridge_count, log_bridge_count, log_simplex_density
 from bdbridge.cli import main
 from bdbridge.errors import BridgeDomainError, CapacityError
+from conftest import enumerate_bridges
 
 INF = float("inf")
 

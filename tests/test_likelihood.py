@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bdbridge import likelihood
-from bdbridge.counting import NEG_INF
+from bdbridge.counting import NEG_INF, log_bridge_count, log_simplex_density
 from bdbridge.errors import BridgeDomainError, ModelDomainError
 from bdbridge.likelihood import (
     BLOCK,
@@ -16,6 +16,7 @@ from bdbridge.likelihood import (
     choose_bset,
     estimate_pij,
     estimate_pij_b,
+    spec_for,
 )
 from bdbridge.models import LBDIParams, SIRParams, SISParams, lbdi_model, sir_as_bd, sis_model
 from bdbridge.reference import (
@@ -25,7 +26,8 @@ from bdbridge.reference import (
     lbdi_transition,
     straight_estimate,
 )
-from bdbridge.sampler import BridgePath, RngStream
+from bdbridge.sampler import RngStream, _draw_padded
+from conftest import BridgePath
 
 
 def test_bset_validation():
@@ -210,6 +212,8 @@ def test_choose_bset_support_matches_plot_range(lbdi_table_model):
 def test_mc_estimate_consistency():
     est = MCEstimate(0.5, 0.01, 100, math.log(0.5))
     assert math.exp(est.log_value) == pytest.approx(est.value)
+    assert est.log_std_error == math.log(0.01)
+    assert MCEstimate(1.0, 0.0, 10, 0.0).log_std_error == NEG_INF
     with pytest.raises(ValueError):
         MCEstimate(-0.5, 0.01, 10, 0.0)
 
@@ -323,3 +327,67 @@ def test_stratum_stream_keyed_by_count(sis_table_model):
     alone = estimate_pij_b(sis_table_model, 5, 8, 1.0, 3, 3000, RngStream(12))
     in_set = estimate_pij(sis_table_model, 5, 8, 1.0, BSet((2, 3)), 3000, RngStream(12))
     assert in_set == alone and alone.value > 0
+
+
+# Tilted holding times: (model, i, j, up jumps, t) against the up-jump-restricted
+# generator.  SIS: two finite bounds with the absorbing end; SIR: birth rates
+# that read the up count; L-BDI with immigration: one (reflecting) bound.
+_TILT_CASES = {
+    "sis_absorbing": (sis_model(SISParams(n0=8, beta=0.3, gamma=1.0)), 6, 0, 4, 1.0),
+    "sir_up_count": (sir_as_bd(SIRParams(n0=20, beta=0.05, gamma=0.7), s0=15), 3, 4, 3, 1.0),
+    "lbdi_immigration": (lbdi_model(LBDIParams(lam=0.8, mu=0.6, nu=1.2)), 2, 1, 3, 1.5),
+}
+
+
+@pytest.mark.parametrize("case", list(_TILT_CASES))
+def test_tilted_estimate_z_calibration(case):
+    model, i, j, ups, t = _TILT_CASES[case]
+    oracle = generator_transition_fixed_ups(model, i, j, t, ups, n_states=40)
+    zs = [(est.value - oracle) / est.std_error
+          for est in (estimate_pij_b(model, i, j, t, ups, 4096, RngStream(seed, (8,)))
+                      for seed in range(20))]
+    assert max(abs(z) for z in zs) <= 4.0, zs
+    assert abs(statistics.fmean(zs)) <= 0.9, zs
+
+
+@pytest.mark.parametrize("case", list(_TILT_CASES))
+def test_tilted_estimate_exact_without_jumps(case):
+    # With no jump the tilted weight reduces to exp(-t a_0): every draw is exact.
+    model, i, _, _, t = _TILT_CASES[case]
+    est = estimate_pij_b(model, i, i, t, 0, 64, RngStream(1))
+    oracle = generator_transition_fixed_ups(model, i, i, t, 0, n_states=40)
+    assert est.value == pytest.approx(oracle, rel=1e-12) and est.std_error == 0.0
+
+
+def test_tilted_weights_spread_below_uniform():
+    # Same skeletons and uniform times: weighed as drawn through the filter's
+    # batch_path_loglik, and mapped onto the tilted times.
+    spec = spec_for(RARE_SIS, 10, 0, 0, 1.0)
+    log_card = log_bridge_count(spec)
+
+    def rel_sd(logw):
+        w = np.exp(logw - logw.max())
+        return w.std() / w.mean()
+
+    def log_mean(logw):
+        return logw.max() + math.log(np.exp(logw - logw.max()).mean())
+
+    tilted = likelihood._log_weights_block(RARE_SIS, spec, log_card, 8192, RngStream(4))
+    steps, dtau, _ = _draw_padded(10, 0, 0, 1.0, spec.lower, spec.upper, 8192, RngStream(4))
+    uniform = (batch_path_loglik(RARE_SIS, 10, steps, dtau)
+               - (log_simplex_density(spec.jumps, 1.0) - log_card))
+    assert rel_sd(uniform) >= 10 * rel_sd(tilted)
+    assert abs(log_mean(tilted) - log_mean(uniform)) <= 5 * rel_sd(uniform) / math.sqrt(8192)
+
+
+def test_choose_bset_below_float_range():
+    # log p(600 -> 0) is about -833: every linear increment underflows to 0.
+    model = sis_model(SISParams(n0=600, beta=0.0015, gamma=1.0))
+    bset = choose_bset(600, 0, model, 0.3, 1e-4, RngStream(1), pilot_n=256)
+    assert len(bset) > 1 and max(bset.pilot_sd) == 1.0
+    est = estimate_pij(model, 600, 0, 0.3, bset, 4096, RngStream(2))
+    full = estimate_pij(model, 600, 0, 0.3, BSet(range(21)), 4096, RngStream(3))
+    assert est.value == 0.0 and -850 < est.log_value < -820
+    assert math.isfinite(est.log_std_error) and math.isfinite(full.log_std_error)
+    rel = math.hypot(*(math.exp(e.log_std_error - e.log_value) for e in (est, full)))
+    assert abs(est.log_value - full.log_value) <= 4 * rel

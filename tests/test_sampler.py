@@ -10,21 +10,11 @@ from scipy import stats
 
 import bdbridge.sampler as sampler_module
 from bdbridge import filters
-from bdbridge.counting import (
-    BridgeSpec,
-    bridge_count,
-    enumerate_bridges,
-    log_bridge_count,
-)
+from bdbridge.counting import BridgeSpec, bridge_count, log_bridge_count
 from bdbridge.errors import CapacityError, ZeroMeasureSpace
 from bdbridge.likelihood import batch_path_loglik
-from bdbridge.sampler import (
-    BridgePath,
-    RngStream,
-    _draw_padded,
-    _log_walk_counts,
-    sample_bridges,
-)
+from bdbridge.sampler import RngStream, _draw_padded, _log_walk_counts, sample_bridges
+from conftest import BridgePath, enumerate_bridges
 
 
 def _skeletons(spec, n, rng):
