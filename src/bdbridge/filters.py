@@ -175,21 +175,27 @@ def igbs_filter_step(state: FilterState, params: SIRParams, s_prev: int,
     i_draws = np.searchsorted(cdf, (np.arange(m) + rng.gen.random()) / m, side="right")
     # End states: the n_i draws from start i (contiguous, as i_draws is
     # sorted) take one stratum each of the uniform on 0..i+drop.
-    first = np.searchsorted(i_draws, i_draws, side="left")
-    n_i = np.searchsorted(i_draws, i_draws, side="right") - first
-    rank = np.arange(m) - first
+    counts = np.bincount(i_draws)
+    n_i = counts[i_draws]
+    rank = np.arange(m) - (np.cumsum(counts) - counts)[i_draws]
     j_draws = np.minimum(
         ((rank + rng.gen.random(m)) * (i_draws + drop + 1) / n_i).astype(np.int64),
         i_draws + drop)
     steps, dtau, jumps = _draw_padded(i_draws, j_draws, drop, dt, 0, np.inf, m, rng)
     ll = batch_path_loglik(model, i_draws, steps, dtau)
 
-    # log bridge density per draw; skeleton counts looked up once per endpoint pair
-    pair_codes = i_draws * (size_new + 1) + j_draws
-    codes, inverse = np.unique(pair_codes, return_inverse=True)
-    log_cards = np.array([_log_pair_count(*divmod(int(code), size_new + 1), drop)
-                          for code in codes])[inverse]
-    log_simplex = gammaln(jumps + 1) - jumps * math.log(dt)
+    # log bridge density per draw; skeleton counts looked up once per run of
+    # equal endpoint pairs.  The draws come sorted by (i, j), so each pair is
+    # one run, and ``run`` indexes every draw's run.
+    new_pair = np.ones(m, bool)
+    new_pair[1:] = (i_draws[1:] != i_draws[:-1]) | (j_draws[1:] != j_draws[:-1])
+    run = np.cumsum(new_pair) - 1
+    firsts = np.flatnonzero(new_pair)
+    log_cards = np.array([_log_pair_count(i, j, drop) for i, j in
+                          zip(i_draws[firsts].tolist(), j_draws[firsts].tolist())])[run]
+    # log K!/t^K, computed once per jump count K and gathered per draw
+    k = np.arange(int(jumps.max()) + 1)
+    log_simplex = (gammaln(k + 1) - k * math.log(dt))[jumps]
     log_q = ll - (log_simplex - log_cards) + np.log(i_draws + drop + 1)
     q = np.exp(log_q)
 
