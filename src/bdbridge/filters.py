@@ -4,9 +4,10 @@ The hidden infectious count evolves as a birth-death process whose up-jump
 total over an observation interval is pinned by the observed drop in
 susceptibles.  Each step therefore reduces to an expectation over restricted
 bridge spaces: over start states from the positive part of the current
-posterior, end states uniform on their admissible range, and a uniform bridge
-between them; the importance weight is the path likelihood over the bridge
-density times the size of the end-state range.  The start and end states are
+posterior, end states uniform on their admissible range, and a bridge between
+them with a uniform skeleton and holding times tilted to the skeleton's rates
+(``likelihood.batch_path_loglik`` with the tilt); the importance weight is the path likelihood
+over the bridge density times the size of the end-state range.  The start and end states are
 drawn stratified rather than independently: start states by systematic
 sampling of the posterior (Kitagawa 1996), end states one stratum per draw
 within each start state.  Each start state keeps its expected share of the
@@ -30,12 +31,17 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln
 
-from .counting import NEG_INF, BridgeSpec, log_bridge_count
+# perfbench/tracing.py wraps the four names marked below in this module, so
+# the step calls them through these bindings.
+from .counting import NEG_INF
+from .counting import BridgeSpec  # traced as counting.spec_init
+from .counting import log_bridge_count  # traced as counting.log_count
 from .errors import DataFormatError, ModelDomainError
-from .likelihood import batch_path_loglik
+from .likelihood import batch_path_loglik  # traced as likelihood.path_loglik
 from .models import SIRParams, sir_as_bd
 from .reference import _terminal_states
-from .sampler import RngStream, _draw_padded
+from .sampler import RngStream
+from .sampler import _draw_padded  # traced as sampler.draw
 
 POSTERIOR_TOL = 1e-12
 
@@ -146,6 +152,13 @@ def igbs_filter_step(state: FilterState, params: SIRParams, s_prev: int,
     is uniform on 0..i+drop given its start, so the total is unbiased, as it
     is with independent draws.
 
+    Each draw's bridge has a uniform skeleton and uniform jump times from
+    ``_draw_padded``, and ``batch_path_loglik`` maps the times onto the law
+    tilted to the skeleton's rates and weighs the path there, as
+    ``estimate_pij`` does.  The map is deterministic, so the random stream is
+    that of uniform bridges; on long bridges, of tens to hundreds of jumps,
+    it removes most of the weights' spread.
+
     With the epidemic surely absorbed, the observation law is 0-1: an
     unchanged count has probability one, any drop is impossible (-inf).
     """
@@ -182,7 +195,7 @@ def igbs_filter_step(state: FilterState, params: SIRParams, s_prev: int,
         ((rank + rng.gen.random(m)) * (i_draws + drop + 1) / n_i).astype(np.int64),
         i_draws + drop)
     steps, dtau, jumps = _draw_padded(i_draws, j_draws, drop, dt, 0, np.inf, m, rng)
-    ll = batch_path_loglik(model, i_draws, steps, dtau)
+    ll = batch_path_loglik(model, i_draws, steps, dtau, dt)
 
     # log bridge density per draw; skeleton counts looked up once per run of
     # equal endpoint pairs.  The draws come sorted by (i, j), so each pair is

@@ -8,16 +8,18 @@ probability is the sum of these over a finite set of admissible counts, each
 count a stratum with its own draws: the pilot runs of ``choose_bset`` set how
 many draws each stratum gets, and the strata's estimates and variances add.
 
-The estimator's skeletons are uniform, but its holding times are tilted to
-each skeleton's rates: with a_k the total rate on holding interval k, the
-times follow Delta tau = t Y / sum(Y) with independent Y_k ~ Exp(a_k + theta),
-theta set per row by the skeleton alone (see ``_log_weights_block``).  They
-are a deterministic map of the sampler's uniform times, so the random stream
-is the paper's uniform draw.  Any theta fixed by the skeleton leaves the
+The skeletons are uniform, but the holding times are tilted to each
+skeleton's rates: with a_k the total rate on holding interval k, the times
+follow Delta tau = t Y / sum(Y) with independent Y_k ~ Exp(a_k + theta),
+theta set per row by the skeleton alone (see ``_tilt``).  They are
+a deterministic map of the sampler's uniform times, so the random stream is
+the paper's uniform draw.  Any theta fixed by the skeleton leaves the
 estimate unbiased; the one chosen makes the times' spread match the rates
-and cuts the weights' spread on rare events by an order of magnitude or
-more.  The filter's ``batch_path_loglik`` weighs uniform times, and both get
-their rates from ``_path_rates``.
+and cuts the weights' spread on rare events and long bridges by an order of
+magnitude or more.  The estimator and the bridge filter (``filters``) weigh
+their draws, rows of one length or of mixed lengths, through
+``batch_path_loglik`` with the tilt; without it, it weighs paths at the
+times given.
 
 Everything on the hot path runs in log space with max-shifted accumulation so
 probabilities far below float precision (rare events) keep controlled relative
@@ -129,26 +131,30 @@ class BSet:
 
 
 def _path_rates(model: BirthDeathModel, start, x: np.ndarray):
-    """Per-interval total rates and jump log-rate sums of skeleton rows.
+    """Per-interval total rates and jump log-rate sums of skeletons stored as
+    columns.
 
-    ``x`` holds each row's steps (+1, -1, or 0 as padding past its end) and
-    ``start`` its first state.  Returns ``(a, jump_ll)``: ``a[r, k]`` is the
-    total rate on row r's holding interval k = 0..width, and ``jump_ll[r]``
-    the sum of the log rates of the jumps it takes, -inf if one has rate 0.
-    The model's rates are evaluated once, on every (state, up count) cell
-    between the lowest and highest state the rows reach, and gathered by
-    index.
+    Column r of ``x`` holds one skeleton's steps (+1, -1, or 0 as padding
+    past its end) and ``start[r]`` its first state.  Returns
+    ``(a, jump_ll)``: ``a[k, r]`` is the total rate on skeleton r's holding
+    interval k = 0..width, and ``jump_ll[r]`` the sum of the log rates of the
+    jumps it takes, -inf if one has rate 0.  The model's rates are evaluated
+    once, on every (state, up count) cell between the lowest and highest
+    state the skeletons reach, and gathered by index.  With one path per
+    column, every sum over a path runs down axis 0, which NumPy vectorizes
+    across paths; along rows it pays a loop call per path, several times the
+    cost on paths of tens of jumps.
     """
-    rows_n, width = x.shape
+    width, n = x.shape
     up = x == 1
-    span = int(np.count_nonzero(up, axis=1).max(initial=0)) + 1
+    span = int(np.count_nonzero(up, axis=0).max(initial=0)) + 1
     # key = 3 (state * span + up count) + 1 at the start of each holding
     # interval, so key + step (-1, 0 or +1) indexes the rate of the step.
-    key = np.empty((rows_n, width + 1), np.int64)
-    key[:, 0] = 3 * span * np.asarray(start, np.int64) + 1
-    np.multiply(x, 3 * span, out=key[:, 1:], dtype=np.int64)
-    key[:, 1:] += np.multiply(up, 3, dtype=np.int8)
-    np.cumsum(key, axis=1, out=key)
+    key = np.empty((width + 1, n), np.int64)
+    key[0] = 3 * span * np.asarray(start, np.int64) + 1
+    np.multiply(x, 3 * span, out=key[1:], dtype=np.int64)
+    key[1:] += np.multiply(up, 3, dtype=np.int8)
+    np.cumsum(key, axis=0, out=key)
     low = int(key.min()) // (3 * span)
     key -= 3 * span * low
     states = np.arange(low, int(key.max()) // (3 * span) + low + 1)[:, None]
@@ -163,28 +169,83 @@ def _path_rates(model: BirthDeathModel, start, x: np.ndarray):
     log_rate = np.full(rate.size, NEG_INF)
     np.log(rate, out=log_rate, where=rate > 0)
     a = np.stack([mu, lam + mu, lam], axis=1).ravel().take(key, mode="clip")
-    key[:, :-1] += x
-    jump_ll = log_rate.take(key, mode="clip")[:, :-1].sum(axis=1)
+    key[:-1] += x
+    jump_ll = log_rate.take(key[:-1], mode="clip").sum(axis=0)
     return a, jump_ll
 
 
 def batch_path_loglik(model: BirthDeathModel, start, steps: np.ndarray,
-                      dtau: np.ndarray) -> np.ndarray:
+                      dtau: np.ndarray, t: float | None = None) -> np.ndarray:
     """Vectorized path log-likelihoods for padded step/interval matrices.
 
     Padding columns (zero steps, zero-length intervals) contribute nothing.
     A row's jump count is its number of nonzero steps; rows are weighed in
     the width classes of ``sampler._width_classes``, each only up to its own
-    width.
+    width, with one path per column (see ``_path_rates``).
+
+    With ``t``, the length every row's intervals sum to, the intervals are
+    uniform draws, and each row is weighed at its times mapped onto the law
+    tilted to its rates, times the ratio of the uniform to the tilted time
+    density (see ``_tilt``).  The mean over uniform draws is that of the
+    plain log-likelihood's exponential, at a fraction of its spread.
     """
     n, width_max = steps.shape
     start = np.broadcast_to(np.asarray(start, np.int64), (n,))
     jumps = np.count_nonzero(steps, axis=1)
     ll = np.empty(n)
     for width, rows in _width_classes(jumps, width_max):
-        a, jump_ll = _path_rates(model, start[rows], steps[rows, :width])
-        ll[rows] = jump_ll - np.einsum("ij,ij->i", a, dtau[rows, :width + 1])
+        a, jump_ll = _path_rates(model, start[rows],
+                                 np.ascontiguousarray(steps.T[:width, rows]))
+        d = dtau.T[:width + 1, rows]
+        if t is None:
+            ll[rows] = jump_ll - np.einsum("ij,ij->j", a, d)
+        else:
+            ll[rows] = jump_ll + _tilt(a, d, jumps[rows], t)
     return ll
+
+
+def _tilt(a: np.ndarray, d: np.ndarray, jumps: np.ndarray, t: float) -> np.ndarray:
+    """Minus the exposure at tilted holding times, plus the log ratio of the
+    uniform to the tilted time density, for paths stored as columns.
+
+    ``a`` and ``d`` hold each path's total rates and uniform holding
+    intervals down a column, padded past its ``jumps`` + 1 intervals with
+    zero-length intervals that repeat its last rate.  Column by column, the
+    uniform times map onto Delta tau = t Y / sum(Y), Y_k ~ Exp(b_k),
+    b_k = a_k + theta.  Uniform spacings are E / sum(E) for i.i.d. Exp(1)
+    variables E, so t (Delta tau_k / b_k) / R, with R = sum_k Delta tau_k /
+    b_k, has exactly that law.  Its density on the time simplex is
+    K! prod(b) / (t^K c^(K+1)) with c = t / R, and the exposure of the
+    mapped times is sum_k a_k Delta tau'_k = t (c - theta), so the mapped
+    times themselves are never formed.
+
+    ``theta`` starts at the larger of two lower bounds of the root of
+    sum_k 1 / (a_k + theta) = t, 1/t - min(a) and (K + 1)/t - mean(a), and
+    takes one Newton step on 1 / sum_k 1/(a_k + theta) - 1/t, which is
+    concave and increasing, so it stays left of the root and every b_k is at
+    least 1/t.  It depends only on the path's skeleton, so every weight is
+    an exact likelihood ratio and the estimate stays unbiased.
+
+    A padding cell has no length, so it adds nothing to R, and every other
+    sum over a path's intervals is the sum down the whole column less
+    (width - K) copies of its last cell's term.  Paths of one length, as
+    ``estimate_pij`` draws them, have no padding.
+    """
+    pad = a.shape[0] - 1 - jumps
+    intervals = jumps + 1
+    theta = np.maximum(1.0 / t - a.min(axis=0),
+                       intervals / t - (a.sum(axis=0) - pad * a[-1]) / intervals)
+    inv_b = a + theta
+    np.reciprocal(inv_b, out=inv_b)
+    g = inv_b.sum(axis=0) - pad * inv_b[-1]
+    h = np.einsum("ij,ij->j", inv_b, inv_b) - pad * inv_b[-1] ** 2
+    theta += g * (g - t) / (t * h)
+    np.add(a, theta, out=inv_b)
+    np.reciprocal(inv_b, out=inv_b)
+    c = t / np.einsum("ij,ij->j", d, inv_b)
+    log_inv_b = np.log(inv_b, out=inv_b)
+    log_prod_b = pad * log_inv_b[-1] - log_inv_b.sum(axis=0)
+    return intervals * np.log(c) - t * (c - theta) - log_prod_b
 
 
 def spec_for(model: BirthDeathModel, i: int, j: int, up_jumps: int, t: float) -> BridgeSpec:
@@ -197,40 +258,16 @@ def _log_weights_block(model, spec: BridgeSpec, log_card: float, n_block: int,
                        rng: RngStream) -> np.ndarray:
     """Per-draw log of path likelihood / proposal density for one up-jump count.
 
-    The skeletons and uniform holding times come from ``_draw_padded``; the
-    times are then mapped, row by row, onto the exponentially tilted law
-    Delta tau = t Y / sum(Y), Y_k ~ Exp(b_k), b_k = a_k + theta, where a_k is
-    the total rate on holding interval k.  Uniform spacings are E / sum(E)
-    for i.i.d. Exp(1) variables E, so t (Delta tau_k / b_k) / R, with
-    R = sum_k Delta tau_k / b_k, has exactly that law.  Its density on the
-    time simplex is K! prod(b) / (t^K c^(K+1)) with c = t / R, and the
-    exposure of the mapped times is sum_k a_k Delta tau'_k = t (c - theta),
-    so the mapped times themselves are never formed.
-
-    ``theta`` starts at the larger of two lower bounds of the root of
-    sum_k 1 / (a_k + theta) = t, 1/t - min(a) and (K + 1)/t - mean(a), and
-    takes one Newton step on 1 / sum_k 1/(a_k + theta) - 1/t, which is
-    concave and increasing, so it stays left of the root and every b_k is at
-    least 1/t.  It depends only on the row's skeleton, so every weight is an
-    exact likelihood ratio and the estimate stays unbiased.
+    The skeletons and uniform holding times come from ``_draw_padded``, and
+    ``batch_path_loglik`` weighs them with the times tilted to each row's
+    rates; that over the uniform skeleton and time densities is the weight.
     """
     steps, dtau, _ = _draw_padded(
         spec.i, spec.j, spec.up_jumps, spec.t, spec.lower, spec.upper,
         n_block, rng,
     )
-    a, jump_ll = _path_rates(model, spec.i, steps)
-    t, intervals = spec.t, spec.jumps + 1
-    theta = np.maximum(1.0 / t - a.min(axis=1), intervals / t - a.mean(axis=1))
-    inv_b = a + theta[:, None]
-    np.reciprocal(inv_b, out=inv_b)
-    g = inv_b.sum(axis=1)
-    theta += g * (g - t) / (t * np.einsum("ij,ij->i", inv_b, inv_b))
-    np.add(a, theta[:, None], out=inv_b)
-    np.reciprocal(inv_b, out=inv_b)
-    c = t / np.einsum("ij,ij->i", dtau, inv_b)
-    log_prod_b = -np.log(inv_b, out=inv_b).sum(axis=1)
-    return (jump_ll - t * (c - theta) + intervals * np.log(c) - log_prod_b
-            - (log_simplex_density(spec.jumps, t) - log_card))
+    return (batch_path_loglik(model, spec.i, steps, dtau, spec.t)
+            - (log_simplex_density(spec.jumps, spec.t) - log_card))
 
 
 def _block_stats(logw: np.ndarray):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln
 
 from bdbridge import filters
@@ -20,7 +21,7 @@ from bdbridge.filters import (
 )
 from bdbridge.likelihood import batch_path_loglik, estimate_pij_b
 from bdbridge.models import SIRParams, sir_as_bd
-from bdbridge.reference import generator_transition_fixed_ups
+from bdbridge.reference import _generator, generator_transition_fixed_ups
 from bdbridge.sampler import RngStream, _draw_padded
 
 SHIGELLA = SIRParams(n0=199, beta=0.0016, gamma=0.2607)
@@ -169,6 +170,35 @@ def test_step_total_calibrated_against_exact(drop):
     se = stratified.std(ddof=1) / math.sqrt(len(seeds))
     assert abs(stratified.mean() - exact) <= 3.0 * se, (stratified.mean(), exact, se)
     assert stratified.std(ddof=1) < 0.6 * iid.std(ddof=1)
+
+
+def _exact_step_log_prob(params, i0, s_prev, drop, dt):
+    """log P(``drop`` infections in ``dt`` | ``i0`` infectious), over every
+    end state, from the generator with up-count layers."""
+    cap, layers = i0 + drop, drop + 2
+    start = np.zeros((cap + 1) * layers)
+    start[i0 * layers] = 1.0
+    end = expm_multiply(_generator(sir_as_bd(params, s0=s_prev), cap, drop).T * dt, start)
+    return math.log(end[np.arange(cap + 1) * layers + drop].sum())
+
+
+@pytest.mark.parametrize("drop, dt, exact, mean_tol, sd_max", [
+    (60, 1.0, -5.5882, 0.05, 0.1),
+    (100, 7.0, -17.9697, 1.0, 0.6),
+])
+def test_long_bridge_step_against_exact(drop, dt, exact, mean_tol, sd_max):
+    # One step from 30 infectious (n0 = 2000, R0 = 2) over bridges of 90 to
+    # 230 jumps, at m = 2000 on seeds 0..11.  Measured mean minus exact and
+    # sd: -0.012 and 0.038 at drop 60, -0.46 and 0.32 at drop 100.  Uniform
+    # holding times read -0.14 and 0.15, and -2.39 and 1.03, failing both
+    # bounds at both drops.
+    params = SIRParams(n0=2000, beta=0.0005, gamma=0.5)
+    i0, s_prev = 30, 1970
+    assert _exact_step_log_prob(params, i0, s_prev, drop, dt) == pytest.approx(exact, abs=1e-4)
+    lls = np.array([igbs_filter_step(initial_state(i0), params, s_prev, s_prev - drop,
+                                     dt, 2000, RngStream(seed))[1] for seed in range(12)])
+    assert abs(lls.mean() - exact) <= mean_tol, lls - exact
+    assert lls.std(ddof=1) <= sd_max, lls - exact
 
 
 def test_posterior_support_bound():

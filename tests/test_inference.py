@@ -99,14 +99,14 @@ def _digest(*values) -> str:
     return h.hexdigest()
 
 
-#: Digests of seeded fits, recorded while ``fit_mle`` still ran level 0 and
-#: the refinements as two copies of the search step; the one loop left every
-#: output byte as it was.  Keys: grid points per parameter, levels, workers.
+#: Digests of seeded fits, recorded when the filter's holding times were
+#: tilted to each bridge's rates (the argmax of every fit stayed where it
+#: was).  Keys: grid points per parameter, levels, workers.
 PINNED_FIT = {
-    (3, 1, 1): "39d368b4b72b2fa4786a4d16d19c3aa44e0710c4a3cfb25b833c7e31b2723191",
-    (4, 2, 2): "1682d6872c6583c39b8ba89793203c4820ae6c3d01583c6eb0417268c71218ea",
-    (3, 3, 1): "aa9845eec1673b568adf2b4ab6e3edf75544b17b2d1cc5d9e9acb353e9e2917a",
-    (1, 2, 1): "2a8f264f36c523c8f73c4d93e45e9f85ec5bea858a600afed2e7e1d518a26dbe",
+    (3, 1, 1): "e034ba606150600c5772eeebdcd905bd3936391dcc9ecae141d1063053211fbe",
+    (4, 2, 2): "a169b72964620251f9f2f5aea1a9c2fbf00ead05bdd8e51b77528387ca371d5f",
+    (3, 3, 1): "e478623317cd5c25db4774399a11b982544fde0b60890fb55ac142e548061a85",
+    (1, 2, 1): "a67cb7b7aa7216a5da465ede2fdcbb1ef3355cc00386f7e72fd7bbd1a780468c",
 }
 
 

@@ -360,7 +360,7 @@ def test_tilted_estimate_exact_without_jumps(case):
 
 
 def test_tilted_weights_spread_below_uniform():
-    # Same skeletons and uniform times: weighed as drawn through the filter's
+    # Same skeletons and uniform times: weighed at the uniform times by
     # batch_path_loglik, and mapped onto the tilted times.
     spec = spec_for(RARE_SIS, 10, 0, 0, 1.0)
     log_card = log_bridge_count(spec)
@@ -378,6 +378,26 @@ def test_tilted_weights_spread_below_uniform():
                - (log_simplex_density(spec.jumps, 1.0) - log_card))
     assert rel_sd(uniform) >= 10 * rel_sd(tilted)
     assert abs(log_mean(tilted) - log_mean(uniform)) <= 5 * rel_sd(uniform) / math.sqrt(8192)
+
+
+def test_tilted_path_loglik_mixed_rows_match_single_rows():
+    # Rows of mixed length in one padded draw, as the filter makes them
+    # (several width classes, with shorter rows padded inside each), weigh as
+    # each row does alone at its own width, the padding-free case that
+    # estimate_pij's blocks are.  Only the rounding of the padding
+    # corrections differs.
+    model = sir_as_bd(SIRParams(n0=199, beta=0.0016, gamma=0.2607), s0=190)
+    rng = np.random.default_rng(3)
+    drop, t, m = 6, 1.0, 2000
+    i = np.sort(rng.integers(1, 31, m))
+    j = (rng.random(m) * (i + drop + 1)).astype(np.int64)
+    steps, dtau, jumps = _draw_padded(i, j, drop, t, 0, np.inf, m, RngStream(5))
+    assert len(set(jumps.tolist())) > 20
+    mixed = batch_path_loglik(model, i, steps, dtau, t)
+    single = [batch_path_loglik(model, i[r], steps[r:r + 1, :k], dtau[r:r + 1, :k + 1], t)[0]
+              for r, k in enumerate(jumps.tolist())]
+    assert np.all(np.isfinite(mixed))
+    np.testing.assert_allclose(mixed, single, rtol=1e-11, atol=1e-11)
 
 
 def test_choose_bset_below_float_range():
