@@ -6,11 +6,11 @@ susceptibles.  Each step therefore reduces to an expectation over restricted
 bridge spaces: over start states from the positive part of the current
 posterior, end states uniform on their admissible range, and a bridge between
 them with a uniform skeleton and holding times tilted to the skeleton's rates
-(``likelihood.batch_path_loglik`` with the tilt); the importance weight is the path likelihood
-over the bridge density times the size of the end-state range.  The start and end states are
-drawn stratified rather than independently: start states by systematic
-sampling of the posterior (Kitagawa 1996), end states one stratum per draw
-within each start state.  Each start state keeps its expected share of the
+(``likelihood.batch_path_loglik`` with ``t``); the importance weight is the
+path likelihood over the bridge density times the size of the end-state
+range.  The start and end states are drawn stratified rather than
+independently: start states by systematic sampling of the posterior
+(Kitagawa 1996), end states one stratum per draw within each start state.  Each start state keeps its expected share of the
 draws and each end state its uniform law given the start, so each step's
 total stays an unbiased estimate of the predictive probability, at about a
 third of the spread of independent draws.  The absorbed case (no infectious

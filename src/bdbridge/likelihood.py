@@ -184,10 +184,11 @@ def batch_path_loglik(model: BirthDeathModel, start, steps: np.ndarray,
     width, with one path per column (see ``_path_rates``).
 
     With ``t``, the length every row's intervals sum to, the intervals are
-    uniform draws, and each row is weighed at its times mapped onto the law
-    tilted to its rates, times the ratio of the uniform to the tilted time
-    density (see ``_tilt``).  The mean over uniform draws is that of the
-    plain log-likelihood's exponential, at a fraction of its spread.
+    taken as uniform draws, and each row is weighed at its times mapped onto
+    the law tilted to its rates, times the ratio of the uniform to the
+    tilted time density (see ``_tilt``).  Over uniform draws, the
+    exponential of either result has the same mean; the tilted one has a
+    fraction of the spread on long bridges and rare events.
     """
     n, width_max = steps.shape
     start = np.broadcast_to(np.asarray(start, np.int64), (n,))

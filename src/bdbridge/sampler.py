@@ -12,8 +12,8 @@ corridor.  It returns matrices as wide as the longest row, with zero steps
 and zero-length holding intervals past each row's end, so downstream
 likelihood sums are unaffected.  The time draw groups rows by their own
 length into power-of-two width classes (small classes join the next wider
-one) and sorts each class only up to its own width; ``likelihood`` weighs
-rows in the same classes.  The
+one) and sorts each class only up to its own width;
+``likelihood.batch_path_loglik`` weighs rows in the same classes.  The
 classes do not touch the random stream, so a seed gives the same paths
 whatever the mix of row lengths.  ``sample_bridges`` draws many paths of one
 spec from one call of it.
