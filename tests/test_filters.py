@@ -187,7 +187,7 @@ def _exact_step_log_prob(params, i0, s_prev, drop, dt):
     (100, 7.0, -17.9697, 1.0, 0.6),
 ])
 def test_long_bridge_step_against_exact(drop, dt, exact, mean_tol, sd_max):
-    # One step from 30 infectious (n0 = 2000, R0 = 2) over bridges of 90 to
+    # One step from 30 infectious (n0 = 2000, R0 = 2) over bridges of 60 to
     # 230 jumps, at m = 2000 on seeds 0..11.  Measured mean minus exact and
     # sd: -0.012 and 0.038 at drop 60, -0.46 and 0.32 at drop 100.  Uniform
     # holding times read -0.14 and 0.15, and -2.39 and 1.03, failing both
