@@ -19,7 +19,10 @@ shorter; counting and the sampler both use it.
 
 Counts are exact integers, and ``log_bridge_count`` is their log.  The
 skeleton sampler (``sampler._draw_padded``) needs the same numbers for every
-prefix of a path, so it builds them by the one-step recursion in log space.
+prefix of a path, so it builds them by the one-step recursion in log space,
+and returns each row's whole count inside its log proposal density.  The
+weights read that; the exact count serves ``bdbridge count``, the
+estimator's test for an empty stratum, and the tests as an oracle.
 """
 
 from __future__ import annotations

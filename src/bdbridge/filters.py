@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
-# perfbench/tracing.py wraps the four names marked below in this module, so
-# the step calls them through these bindings.
+# perfbench/tracing.py wraps the names marked below in this module, so the
+# step calls them through these bindings.  The step no longer calls
+# BridgeSpec or log_bridge_count: they stay only so that the tracer finds
+# every target, and their counting.* rows read 0 on filter-shigellosis.
 from .counting import NEG_INF
 from .counting import BridgeSpec  # traced as counting.spec_init
 from .counting import log_bridge_count  # traced as counting.log_count
@@ -124,19 +124,6 @@ def initial_state(i0: int) -> FilterState:
     return FilterState(0, post)
 
 
-@lru_cache(maxsize=1 << 16)
-def _log_pair_count(i: int, j: int, drop: int) -> float:
-    """log number of skeletons from ``i`` to ``j`` with ``drop`` up steps in
-    the corridor (0, inf) of the filter's draws.
-
-    A path with ``drop`` up steps peaks at most at ``i + drop``, so no upper
-    bound, such as the population, can bind.  The count does not depend on
-    the elapsed time, and the same pairs recur across steps, filter passes
-    and grid cells, so it is cached.
-    """
-    return log_bridge_count(BridgeSpec(i=i, j=j, up_jumps=drop, lower=0))
-
-
 def igbs_filter_step(state: FilterState, params: SIRParams, s_prev: int,
                      s_next: int, dt: float, m: int, rng: RngStream):
     """One filtering step; returns the new state and the log conditional
@@ -194,22 +181,10 @@ def igbs_filter_step(state: FilterState, params: SIRParams, s_prev: int,
     j_draws = np.minimum(
         ((rank + rng.gen.random(m)) * (i_draws + drop + 1) / n_i).astype(np.int64),
         i_draws + drop)
-    steps, dtau, jumps = _draw_padded(i_draws, j_draws, drop, dt, 0, np.inf, m, rng)
-    ll = batch_path_loglik(model, i_draws, steps, dtau, dt)
-
-    # log bridge density per draw; skeleton counts looked up once per run of
-    # equal endpoint pairs.  The draws come sorted by (i, j), so each pair is
-    # one run, and ``run`` indexes every draw's run.
-    new_pair = np.ones(m, bool)
-    new_pair[1:] = (i_draws[1:] != i_draws[:-1]) | (j_draws[1:] != j_draws[:-1])
-    run = np.cumsum(new_pair) - 1
-    firsts = np.flatnonzero(new_pair)
-    log_cards = np.array([_log_pair_count(i, j, drop) for i, j in
-                          zip(i_draws[firsts].tolist(), j_draws[firsts].tolist())])[run]
-    # log K!/t^K, computed once per jump count K and gathered per draw
-    k = np.arange(int(jumps.max()) + 1)
-    log_simplex = (gammaln(k + 1) - k * math.log(dt))[jumps]
-    log_q = ll - (log_simplex - log_cards) + np.log(i_draws + drop + 1)
+    draws = _draw_padded(i_draws, j_draws, drop, dt, 0, np.inf, m, rng)
+    steps, dtau, _ = draws
+    log_q = (batch_path_loglik(model, i_draws, steps, dtau, dt) - draws.log_density
+             + np.log(i_draws + drop + 1))
     q = np.exp(log_q)
 
     contrib = np.bincount(j_draws, weights=q, minlength=size_new) * (p_alive / m)

@@ -109,8 +109,8 @@ def loglik_surface(obs: Observations, beta_grid, gamma_grid, m: int,
 
     ``threads`` counts worker processes for grid cells.  With more than one,
     cells run in a pool of forked processes made for this call, which inherit
-    the imported package and its count cache.  A fork copies only the calling
-    thread, so ask for workers only while no other thread holds a lock.
+    the imported package.  A fork copies only the calling thread, so ask for
+    workers only while no other thread holds a lock.
     Cells own derived streams indexed by (row, column, replication) and
     results come back in grid order, so the surface is bit-identical for any
     worker count; -inf cells are permitted.

@@ -37,13 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import (
-    NEG_INF,
-    BridgeSpec,
-    check_time,
-    log_bridge_count,
-    log_simplex_density,
-)
+from .counting import NEG_INF, BridgeSpec, check_time, log_bridge_count
 from .errors import BridgeDomainError, ModelDomainError
 from .models import BirthDeathModel
 from .sampler import RngStream, _draw_padded, _width_classes
@@ -255,20 +249,17 @@ def spec_for(model: BirthDeathModel, i: int, j: int, up_jumps: int, t: float) ->
     return BridgeSpec(i=i, j=j, up_jumps=up_jumps, t=t, lower=lower, upper=upper)
 
 
-def _log_weights_block(model, spec: BridgeSpec, log_card: float, n_block: int,
-                       rng: RngStream) -> np.ndarray:
+def _log_weights_block(model, spec: BridgeSpec, n_block: int, rng: RngStream) -> np.ndarray:
     """Per-draw log of path likelihood / proposal density for one up-jump count.
 
     The skeletons and uniform holding times come from ``_draw_padded``, and
     ``batch_path_loglik`` weighs them with the times tilted to each row's
-    rates; that over the uniform skeleton and time densities is the weight.
+    rates; that less the sampler's log proposal density is the weight.
     """
-    steps, dtau, _ = _draw_padded(
-        spec.i, spec.j, spec.up_jumps, spec.t, spec.lower, spec.upper,
-        n_block, rng,
-    )
-    return (batch_path_loglik(model, spec.i, steps, dtau, spec.t)
-            - (log_simplex_density(spec.jumps, spec.t) - log_card))
+    draws = _draw_padded(spec.i, spec.j, spec.up_jumps, spec.t, spec.lower, spec.upper,
+                         n_block, rng)
+    steps, dtau, _ = draws
+    return batch_path_loglik(model, spec.i, steps, dtau, spec.t) - draws.log_density
 
 
 def _block_stats(logw: np.ndarray):
@@ -343,16 +334,16 @@ def estimate_pij(model: BirthDeathModel, i: int, j: int, t: float, bset,
     skeleton alone, so every stratum's mean weight is unbiased.
 
     Stratified over the counts in ``bset`` whose bridge space is nonempty:
-    one list holds each such count's spec, log count and pilot SD, and the
-    draws are allocated, made and combined over that list alone.  Empty
-    spaces are exact zeros and get no draws.  The estimate is the sum of the
-    per-count means, with standard error sqrt(sum of s_B^2 / n_B), both kept
-    in log space.  The ``n`` draws are split before any is made: 1/8 equally
-    over the strata, the rest in proportion to ``bset.pilot_sd`` (equally
-    without it), and at least 2 per stratum, so ``n`` is raised to twice
-    their number when smaller.  Count ``B``'s block ``k`` draws from
-    ``rng.child(_TAG_ESTIMATE, B, k)``, so fixed ``(seed, stream)`` give
-    bit-identical results for any ``threads``.
+    one list holds each such count's spec and pilot SD, and the draws are
+    allocated, made and combined over that list alone.  Empty spaces, found
+    by ``log_bridge_count`` once per count, are exact zeros and get no
+    draws.  The estimate is the sum of the per-count means, with standard
+    error sqrt(sum of s_B^2 / n_B), both kept in log space.  The ``n`` draws
+    are split before any is made: 1/8 equally over the strata, the rest in
+    proportion to ``bset.pilot_sd`` (equally without it), and at least 2 per
+    stratum, so ``n`` is raised to twice their number when smaller.  Count
+    ``B``'s block ``k`` draws from ``rng.child(_TAG_ESTIMATE, B, k)``, so
+    fixed ``(seed, stream)`` give bit-identical results for any ``threads``.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -370,20 +361,19 @@ def estimate_pij(model: BirthDeathModel, i: int, j: int, t: float, bset,
     strata = []
     for up_jumps, sd in zip(bset, bset.pilot_sd or (1.0,) * len(bset)):
         spec = spec_for(model, i, j, up_jumps, t)
-        log_card = log_bridge_count(spec)
-        if log_card > NEG_INF:
-            strata.append((spec, log_card, sd))
+        if log_bridge_count(spec) > NEG_INF:
+            strata.append((spec, sd))
     if not strata:
         return MCEstimate(0.0, 0.0, n, NEG_INF)
 
-    counts = _allocate(n, [sd for _, _, sd in strata])
+    counts = _allocate(n, [sd for _, sd in strata])
     jobs = [(pos, block, min(BLOCK, draws - start)) for pos, draws in enumerate(counts)
             for block, start in enumerate(range(0, draws, BLOCK))]
 
     def run_block(job):
         pos, block, size = job
-        spec, log_card, _ = strata[pos]
-        logw = _log_weights_block(model, spec, log_card, size,
+        spec, _ = strata[pos]
+        logw = _log_weights_block(model, spec, size,
                                   rng.child(_TAG_ESTIMATE, spec.up_jumps, block))
         return _block_stats(logw)
 

@@ -10,9 +10,11 @@ the counting-driven recursive method of uniform generation (Nijenhuis & Wilf,
 *Combinatorial Algorithms*, 1978), so it never rejects, however narrow the
 corridor.  It returns matrices as wide as the longest row, with zero steps
 and zero-length holding intervals past each row's end, so downstream
-likelihood sums are unaffected.  The time draw groups rows by their own
-length into power-of-two width classes (small classes join the next wider
-one) and sorts each class only up to its own width;
+likelihood sums are unaffected.  It also returns each row's log proposal
+density, log K!/t^K less the log skeleton count that its walk table holds,
+which every importance weight divides by.  The time draw groups rows by their
+own length into power-of-two width classes (small classes join the next
+wider one) and sorts each class only up to its own width;
 ``likelihood.batch_path_loglik`` weighs rows in the same classes.  The
 classes do not touch the random stream, so a seed gives the same paths
 whatever the mix of row lengths.  ``sample_bridges`` draws many paths of one
@@ -21,7 +23,10 @@ spec from one call of it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy.special import gammaln
 
 from .counting import NEG_INF, BridgeSpec, _core
 from .errors import CapacityError, ZeroMeasureSpace
@@ -138,6 +143,17 @@ def _log_walk_counts(ends: np.ndarray, steps: int, ups: int, lower: float,
     return log_t
 
 
+class _Draws(tuple):
+    """``(steps, dtau, jumps)``, with each row's log proposal density as
+    ``log_density``; callers that unpack three outputs, as the benchmark's
+    tracer does, keep working."""
+
+    def __new__(cls, steps, dtau, jumps, log_density):
+        draws = super().__new__(cls, (steps, dtau, jumps))
+        draws.log_density = log_density
+        return draws
+
+
 def _draw_padded(i, j, up_jumps: int, t: float, lower, upper, size: int,
                  rng: RngStream):
     """Vectorized uniform draws for ``size`` bridges sharing ``up_jumps`` and ``t``.
@@ -145,11 +161,13 @@ def _draw_padded(i, j, up_jumps: int, t: float, lower, upper, size: int,
     ``i`` and ``j`` may vary per row; ``lower`` and ``upper`` are shared.
     Returns ``(steps, dtau, jumps)`` as matrices as wide as the longest row:
     padding steps are 0 and padding holding intervals have zero length, so
-    likelihood sums ignore them.  Raises :class:`ZeroMeasureSpace`, before
-    any draw, when a row's bridge space is empty, and :class:`CapacityError`,
-    before the walk table is built, when it would hold more than
-    ``_MAX_TABLE_CELLS`` cells (distinct core ends x (longest core + 1) x
-    (up_jumps + 1)).
+    likelihood sums ignore them.  Its ``log_density`` holds each row's log
+    proposal density: log K!/t^K for the sorted uniform times, less the log
+    count of its skeletons, the walk table's cell for its whole core.  Raises
+    :class:`ZeroMeasureSpace`, before any draw, when a row's bridge space is
+    empty, and :class:`CapacityError`, before the walk table is built, when
+    it would hold more than ``_MAX_TABLE_CELLS`` cells (distinct core ends x
+    (longest core + 1) x (up_jumps + 1)).
 
     A row's core (``counting._core``) runs strictly inside the corridor; a
     row whose end state sits on a finite bound gets its forced terminal step
@@ -189,6 +207,9 @@ def _draw_padded(i, j, up_jumps: int, t: float, lower, upper, size: int,
                                f"jumps inside ({lower}, {upper}) (row {r})")
 
     jumps_max = int(jumps.max()) if size else 0
+    # log K!/t^K, once per jump count K, less each row's log skeleton count.
+    k = np.arange(jumps_max + 1)
+    log_density = (gammaln(k + 1) - k * math.log(t))[jumps] - start
     cols = np.arange(jumps_max)
     keys = rng.gen.random((size, len_max))
     # Rows walk longest first, so the rows still walking at column c are a
@@ -234,4 +255,4 @@ def _draw_padded(i, j, up_jumps: int, t: float, lower, upper, size: int,
         gaps[:, width] = t - tau[:, -1]
         if not isinstance(rows, slice):
             dtau[rows, :width + 1] = gaps
-    return steps, dtau, jumps
+    return _Draws(steps, dtau, jumps, log_density)

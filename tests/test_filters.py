@@ -201,6 +201,18 @@ def test_long_bridge_step_against_exact(drop, dt, exact, mean_tol, sd_max):
     assert lls.std(ddof=1) <= sd_max, lls - exact
 
 
+def test_step_beyond_exact_count_limit():
+    # With beta = 0 no susceptible is ever infected, so an unchanged count has
+    # log-probability exactly 0.  From 4600 infectious the bridges reach 4600
+    # jumps, past the 4096 of exact integer counting, which the step does
+    # not call.  Measured on seeds 0..11: mean 0.0085, sd 0.021.
+    params = SIRParams(n0=4700, beta=0.0, gamma=1.0)
+    lls = np.array([igbs_filter_step(initial_state(4600), params, 100, 100, 1.0, 500,
+                                     RngStream(seed))[1] for seed in range(12)])
+    assert abs(lls.mean()) <= 0.05, lls
+    assert lls.std(ddof=1) <= 0.06, lls
+
+
 def test_posterior_support_bound():
     obs = make_obs(range(6), [198, 198, 196, 195, 195, 192])
     state = initial_state(1)

@@ -363,7 +363,6 @@ def test_tilted_weights_spread_below_uniform():
     # Same skeletons and uniform times: weighed at the uniform times by
     # batch_path_loglik, and mapped onto the tilted times.
     spec = spec_for(RARE_SIS, 10, 0, 0, 1.0)
-    log_card = log_bridge_count(spec)
 
     def rel_sd(logw):
         w = np.exp(logw - logw.max())
@@ -372,10 +371,10 @@ def test_tilted_weights_spread_below_uniform():
     def log_mean(logw):
         return logw.max() + math.log(np.exp(logw - logw.max()).mean())
 
-    tilted = likelihood._log_weights_block(RARE_SIS, spec, log_card, 8192, RngStream(4))
+    tilted = likelihood._log_weights_block(RARE_SIS, spec, 8192, RngStream(4))
     steps, dtau, _ = _draw_padded(10, 0, 0, 1.0, spec.lower, spec.upper, 8192, RngStream(4))
     uniform = (batch_path_loglik(RARE_SIS, 10, steps, dtau)
-               - (log_simplex_density(spec.jumps, 1.0) - log_card))
+               - (log_simplex_density(spec.jumps, 1.0) - log_bridge_count(spec)))
     assert rel_sd(uniform) >= 10 * rel_sd(tilted)
     assert abs(log_mean(tilted) - log_mean(uniform)) <= 5 * rel_sd(uniform) / math.sqrt(8192)
 

@@ -1,7 +1,6 @@
 import hashlib
 import math
 from collections import Counter
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,11 +8,10 @@ import pytest
 from scipy import stats
 
 import bdbridge.sampler as sampler_module
-from bdbridge import filters
-from bdbridge.counting import BridgeSpec, bridge_count, log_bridge_count
+from bdbridge.counting import BridgeSpec, bridge_count, log_bridge_count, log_simplex_density
 from bdbridge.errors import CapacityError, ZeroMeasureSpace
 from bdbridge.likelihood import batch_path_loglik
-from bdbridge.sampler import RngStream, _draw_padded, _log_walk_counts, sample_bridges
+from bdbridge.sampler import RngStream, _draw_padded, sample_bridges
 from conftest import BridgePath, enumerate_bridges
 
 
@@ -67,42 +65,40 @@ def test_skeleton_count_beyond_int64():
     assert stats.binomtest(first_up, n, 0.5).pvalue > 0.001
 
 
-def _assert_walk_table_matches_counts(specs, lower, upper):
-    """The sampler's walk table, read at each spec's core, equals its log count.
-
-    Every spec ends inside or on the absorbing lower bound 0, where the core
-    stops one step short, at 1.
-    """
-    ups = np.array([s.up_jumps for s in specs])
-    jumps = np.array([s.jumps for s in specs])
-    j = np.array([s.j for s in specs])
-    absorbed = j == 0
-    length = jumps - absorbed
-    ends, end_row = np.unique(j + absorbed, return_inverse=True)
-    table = _log_walk_counts(ends, int(length.max()), int(ups.max()), lower, upper)
-    got = table[end_row, length, ups]
-    want = np.array([log_bridge_count(s) for s in specs])
-    np.testing.assert_array_equal(np.isneginf(got), np.isneginf(want))
-    finite = np.isfinite(want)
-    np.testing.assert_allclose(got[finite], want[finite], rtol=0, atol=1e-10)
+def _assert_densities_match_counts(i, j, ups, t, lower, upper):
+    """``_draw_padded``'s log proposal densities, whose counts it reads off its
+    walk table, equal log K!/t^K less the log exact count of each row's bridge
+    space, for rows of mixed endpoints in one call."""
+    i, j = np.broadcast_arrays(np.asarray(i), np.asarray(j))
+    got = _draw_padded(i, j, ups, t, lower, upper, len(i), RngStream(0)).log_density
+    want = [log_simplex_density(spec.jumps, t) - log_bridge_count(spec)
+            for spec in (BridgeSpec(i=int(a), j=int(b), up_jumps=ups, t=t, lower=lower,
+                                    upper=upper) for a, b in zip(i, j))]
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("drop", [0, 1, 2, 5, 10, 20, 40])
 def test_walk_table_matches_filter_pair_counts(drop):
-    # The filter counts and draws its bridges in one corridor, (0, inf);
-    # j = 0 is an absorbing end.  An upper bound at i + drop + 1, one past the
-    # highest state that drop up steps reach, leaves every count unchanged.
-    specs = [BridgeSpec(i=i, j=j, up_jumps=drop, lower=0)
-             for i in range(1, 61) for j in range(i + drop + 1)]
-    assert [filters._log_pair_count(s.i, s.j, drop) for s in specs] == [
-        log_bridge_count(replace(s, upper=s.i + drop + 1)) for s in specs]
-    _assert_walk_table_matches_counts(specs, 0.0, np.inf)
+    # The filter draws its bridges in one corridor, (0, inf), from start
+    # states 1..60 to every end state 0..i+drop; j = 0 is an absorbing end.
+    i, j = np.array([(i, j) for i in range(1, 61) for j in range(i + drop + 1)]).T
+    _assert_densities_match_counts(i, j, drop, 1.0, 0, np.inf)
 
 
 def test_walk_table_matches_sis_counts():
-    specs = [BridgeSpec(i=i, j=0, up_jumps=ups, lower=0, upper=31)
-             for i in range(1, 31) for ups in range(41)]
-    _assert_walk_table_matches_counts(specs, 0.0, 31.0)
+    # Two bounds, as an SIS model's corridor (0, 31): absorbing at 0, and
+    # inside it.
+    i = np.arange(1, 31)
+    for ups in range(41):
+        _assert_densities_match_counts(i, 0, ups, 0.7, 0, 31)
+        _assert_densities_match_counts(i, np.minimum(31 - i, i + ups), ups, 0.7, 0, 31)
+
+
+@pytest.mark.parametrize("ups", [0, 3, 12])
+def test_walk_table_matches_unbounded_counts(ups):
+    i, j = np.array([(i, j) for i in range(-4, 5) for j in range(-6, i + ups + 1)]).T
+    _assert_densities_match_counts(i, j, ups, 2.5, -np.inf, np.inf)
 
 
 def test_skeleton_empty_space_errors(rng):
