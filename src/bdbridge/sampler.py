@@ -12,13 +12,8 @@ corridor.  It returns matrices as wide as the longest row, with zero steps
 and zero-length holding intervals past each row's end, so downstream
 likelihood sums are unaffected.  It also returns each row's log proposal
 density, log K!/t^K less the log skeleton count that its walk table holds,
-which every importance weight divides by.  The time draw groups rows by their
-own length into power-of-two width classes (small classes join the next
-wider one) and sorts each class only up to its own width;
-``likelihood.batch_path_loglik`` weighs rows in the same classes.  The
-classes do not touch the random stream, so a seed gives the same paths
-whatever the mix of row lengths.  ``sample_bridges`` draws many paths of one
-spec from one call of it.
+which every importance weight divides by.  ``sample_bridges`` draws many
+paths of one spec from one call of it.
 """
 
 from __future__ import annotations
@@ -31,10 +26,6 @@ from scipy.special import gammaln
 from .counting import NEG_INF, BridgeSpec, _core
 from .errors import CapacityError, ZeroMeasureSpace
 
-#: Width classes smaller than this many cells join the next wider class: a
-#: class costs a fixed number of NumPy calls, worth more than the padding
-#: cells a small class saves.
-_MIN_CLASS_CELLS = 1 << 14
 #: Most cells one walk table may hold: 128 MiB of float64, and about 415 MiB
 #: peak for a one-row draw near it.
 _MAX_TABLE_CELLS = 1 << 24
@@ -90,35 +81,6 @@ def sample_bridges(spec: BridgeSpec, n: int, rng: RngStream):
     times[:, -1] = spec.t
     states = spec.i + np.cumsum(np.pad(steps, ((0, 0), (1, 1))), axis=1, dtype=np.int64)
     return times, states
-
-
-def _width_classes(lengths: np.ndarray, cap: int):
-    """Group rows by their own length into power-of-two width classes.
-
-    Yields ``(width, rows)`` for every nonempty class: the rows whose length
-    ``n`` satisfies ``width / 2 < n <= width`` (length 0 forms width 0), with
-    widths capped at ``cap >= lengths.max()``.  A class with fewer than
-    ``_MIN_CLASS_CELLS`` cells is folded into the next wider one, where its
-    rows are padding-masked like any shorter row.  ``rows`` is an index
-    array, or ``slice(None)`` when one class holds every row, so that callers
-    work on views of full-width arrays instead of gathered copies.
-    """
-    code = np.frexp(np.maximum(lengths - 1, 0))[1] + (lengths > 0)
-    counts = np.bincount(code)
-    classes = []
-    low = -1
-    carried = 0
-    for c in np.flatnonzero(counts):
-        width = min(1 << (int(c) - 1), cap) if c else 0
-        carried += counts[c]
-        if carried * width >= _MIN_CLASS_CELLS or c == len(counts) - 1:
-            classes.append((width, low, c))
-            low, carried = c, 0
-    if len(classes) == 1:
-        yield classes[0][0], slice(None)
-        return
-    for width, low, high in classes:
-        yield width, np.flatnonzero((code > low) & (code <= high))
 
 
 def _log_walk_counts(ends: np.ndarray, steps: int, ups: int, lower: float,
@@ -180,9 +142,8 @@ def _draw_padded(i, j, up_jumps: int, t: float, lower, upper, size: int,
     shape (rows, most jumps).  A tie, or a time at exactly 0 (probability
     about K**2 * 2**-54 per row), is kept: it leaves a zero-length holding
     interval, which the likelihood weighs like any other, as it reads jumps
-    from ``steps``.  The time draw runs on width classes (see
-    ``_width_classes``), each sorted and differenced only up to its own
-    width; a row's times depend only on its own uniforms.
+    from ``steps``.  The time matrix is sorted at full width, with each row's
+    padding cells set to 1 so that they sort last and map to ``t``.
     """
     i = np.broadcast_to(np.asarray(i, np.int64), (size,))
     j = np.broadcast_to(np.asarray(j, np.int64), (size,))
@@ -236,23 +197,13 @@ def _draw_padded(i, j, up_jumps: int, t: float, lower, upper, size: int,
     rows_up = np.flatnonzero(j == upper)
     steps[rows_up, length[rows_up]] = 1
 
-    dtau = np.zeros((size, jumps_max + 1))
-    u = rng.gen.random((size, jumps_max))
-    for width, rows in _width_classes(jumps, jumps_max):
-        if width == 0:
-            dtau[rows, 0] = t
-            continue
-        n_jumps = jumps[rows]
-        tau = u[rows, :width]
-        if n_jumps.min() < width:
-            tau[cols[:width] >= n_jumps[:, None]] = 1.0  # padding sorts last, at t
-        tau.sort(axis=1)
-        tau *= t
-        # Holding intervals: the gaps of (0, tau_1, ..., tau_K, t, ..., t).
-        gaps = dtau if isinstance(rows, slice) else np.empty((len(n_jumps), width + 1))
-        gaps[:, 0] = tau[:, 0]
-        np.subtract(tau[:, 1:], tau[:, :-1], out=gaps[:, 1:width])
-        gaps[:, width] = t - tau[:, -1]
-        if not isinstance(rows, slice):
-            dtau[rows, :width + 1] = gaps
+    tau = rng.gen.random((size, jumps_max))
+    tau[cols >= jumps[:, None]] = 1.0  # padding sorts last, at t
+    tau.sort(axis=1)
+    tau *= t
+    # Holding intervals: the gaps of (0, tau_1, ..., tau_K, t, ..., t).
+    dtau = np.empty((size, jumps_max + 1))
+    dtau[:, :-1] = tau
+    dtau[:, -1] = t
+    dtau[:, 1:] -= tau
     return _Draws(steps, dtau, jumps, log_density)

@@ -399,6 +399,29 @@ def test_tilted_path_loglik_mixed_rows_match_single_rows():
     np.testing.assert_allclose(mixed, single, rtol=1e-11, atol=1e-11)
 
 
+def test_width_classes_partition_rows(monkeypatch):
+    # Every row lands in exactly one class no narrower than itself, classes
+    # come in increasing width, and the floor only merges neighbours.
+    lengths = np.random.default_rng(2).integers(0, 70, 3000)
+    lengths[:5] = (0, 1, 2, 3, 70)
+    for floor in (0, 1 << 10, 1 << 14, 1 << 30):
+        monkeypatch.setattr(likelihood, "_MIN_CLASS_CELLS", floor)
+        seen = np.zeros(len(lengths), int)
+        widths = []
+        for width, rows in likelihood._width_classes(lengths, 70):
+            seen[rows] += 1
+            assert lengths[rows].max() <= width
+            if widths:
+                assert lengths[rows].min() > widths[-1]
+            widths.append(width)
+        assert np.all(seen == 1)
+        assert widths[-1] == 70
+        if floor == 0:
+            assert widths == [0, 1, 2, 4, 8, 16, 32, 64, 70]
+        if floor == 1 << 30:
+            assert widths == [70]
+
+
 def test_choose_bset_below_float_range():
     # log p(600 -> 0) is about -833: every linear increment underflows to 0.
     model = sis_model(SISParams(n0=600, beta=0.0015, gamma=1.0))

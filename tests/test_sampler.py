@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import bdbridge.likelihood as likelihood_module
 import bdbridge.sampler as sampler_module
 from bdbridge.counting import BridgeSpec, bridge_count, log_bridge_count, log_simplex_density
 from bdbridge.errors import CapacityError, ZeroMeasureSpace
@@ -326,56 +327,18 @@ def _mixed_row_groups(pick):
     return groups
 
 
-def _class_floors():
-    """Width-class floors to test: every class apart, and the default."""
-    return (0, sampler_module._MIN_CLASS_CELLS)
-
-
-def test_width_classes_partition_rows(monkeypatch):
-    # Every row lands in exactly one class no narrower than itself, classes
-    # come in increasing width, and the floor only merges neighbours.
-    lengths = np.random.default_rng(2).integers(0, 70, 3000)
-    lengths[:5] = (0, 1, 2, 3, 70)
-    for floor in (0, 1 << 10, 1 << 14, 1 << 30):
-        monkeypatch.setattr(sampler_module, "_MIN_CLASS_CELLS", floor)
-        seen = np.zeros(len(lengths), int)
-        widths = []
-        for width, rows in sampler_module._width_classes(lengths, 70):
-            seen[rows] += 1
-            assert lengths[rows].max() <= width
-            if widths:
-                assert lengths[rows].min() > widths[-1]
-            widths.append(width)
-        assert np.all(seen == 1)
-        assert widths[-1] == 70
-        if floor == 0:
-            assert widths == [0, 1, 2, 4, 8, 16, 32, 64, 70]
-        if floor == 1 << 30:
-            assert widths == [70]
-
-
 def test_batch_draw_mixed_rows_consistent(lbdi_table_model, path_loglik, monkeypatch):
-    # Rows of many lengths, weighed together, must agree row by row with the
-    # scalar path log-likelihood.  The batch has zero-jump rows, jump counts
-    # in at least four width classes, rows ending on a lower or an upper
-    # bound with their forced terminal step, and rows that must pass
-    # 0 -> -1, a down jump at zero death rate (-inf).  It runs with every
-    # width class apart and with the default floor, which folds small classes
-    # into wider ones; both layouts must draw the same bytes.  Sums over
-    # padded widths may round differently in the last bit.
-    results = []
-    for floor in _class_floors():
-        monkeypatch.setattr(sampler_module, "_MIN_CLASS_CELLS", floor)
-        results.append(_check_mixed_rows(RngStream(17), lbdi_table_model, path_loglik))
-    (*split_draws, split_ll), (*merged_draws, merged_ll) = results
-    for split, merged in zip(split_draws, merged_draws):
-        np.testing.assert_array_equal(split, merged)
-    np.testing.assert_allclose(split_ll, merged_ll, rtol=1e-12, atol=0)
-
-
-def _check_mixed_rows(rng, model, path_loglik):
+    # Rows of many lengths, drawn once and weighed together, must agree row
+    # by row with the scalar path log-likelihood.  The batch has zero-jump
+    # rows, jump counts in at least four width classes, rows ending on a
+    # lower or an upper bound with their forced terminal step, and rows that
+    # must pass 0 -> -1, a down jump at zero death rate (-inf).  The weigh
+    # runs with every width class apart and with the default floor, which
+    # folds small classes into wider ones.  Sums over padded widths may round
+    # differently in the last bit.
     t = 1.3
     draws, specs = [], []
+    rng = RngStream(17)
     for lower, ups, i_arr, j_arr, upper in _mixed_row_groups(np.random.default_rng(5)):
         n = len(i_arr)
         steps, dtau, jumps = _draw_padded(i_arr, j_arr, ups, t, lower, upper, n, rng)
@@ -396,20 +359,26 @@ def _check_mixed_rows(rng, model, path_loglik):
     ends_up = np.array([s.j == s.upper for s in specs])
     assert np.any(ends_low & (start == 1) & (jumps == 1)) and np.any(ends_low & (jumps > 1))
     assert np.any(ends_up & (jumps == 1)) and np.any(ends_up & (jumps > 1))
-    ll = batch_path_loglik(model, start, steps, dtau)
+    scalar = []
     for r, spec in enumerate(specs):
         k = int(jumps[r])
         states = start[r] + np.concatenate([[0], np.cumsum(steps[r, :k])])
         taus = np.concatenate([[0.0], np.cumsum(dtau[r])[:k], [t]])
         path = BridgePath(taus, np.append(states, end[r]))
         path.validate(spec)
-        scalar = path_loglik(model, path)
-        if scalar == -math.inf:
-            assert ll[r] == -math.inf, r
-        else:
-            assert ll[r] == pytest.approx(scalar, rel=1e-12), r
-    assert jumps[0] == 0 and np.isfinite(ll[0]) and ll[1] == -math.inf
-    return steps, dtau, jumps, ll
+        scalar.append(path_loglik(lbdi_table_model, path))
+    lls = []
+    for floor in (0, likelihood_module._MIN_CLASS_CELLS):
+        monkeypatch.setattr(likelihood_module, "_MIN_CLASS_CELLS", floor)
+        ll = batch_path_loglik(lbdi_table_model, start, steps, dtau)
+        for r, want in enumerate(scalar):
+            if want == -math.inf:
+                assert ll[r] == -math.inf, (r, floor)
+            else:
+                assert ll[r] == pytest.approx(want, rel=1e-12), (r, floor)
+        assert jumps[0] == 0 and np.isfinite(ll[0]) and ll[1] == -math.inf
+        lls.append(ll)
+    np.testing.assert_allclose(*lls, rtol=1e-12, atol=0)
 
 
 class _CollideOnceGen:
@@ -489,7 +458,7 @@ PINNED_DRAWS = {
 }
 
 
-def test_batch_draw_random_stream_pinned(monkeypatch):
+def test_batch_draw_random_stream_pinned():
     """The batch core's output bytes for fixed seeds are pinned.
 
     Seeded results everywhere (filter log-likelihoods, estimates, the
@@ -498,7 +467,5 @@ def test_batch_draw_random_stream_pinned(monkeypatch):
     or of its use of the stream must update these digests and record the
     change in CHANGES.md.
     """
-    for floor in _class_floors():
-        monkeypatch.setattr(sampler_module, "_MIN_CLASS_CELLS", floor)
-        for name, args in _pinned_cases():
-            assert _draw_digest(*_draw_padded(*args)) == PINNED_DRAWS[name], (name, floor)
+    for name, args in _pinned_cases():
+        assert _draw_digest(*_draw_padded(*args)) == PINNED_DRAWS[name], name
